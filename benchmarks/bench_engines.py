@@ -70,7 +70,7 @@ def spmv_sweep_setup(workloads):
 
 
 def test_bench_batch_engine(spmv_sweep_setup, benchmark):
-    """One vectorized walk timing the whole Figure-3 latency axis."""
+    """One native walk timing the whole Figure-3 latency axis."""
     _, _, lowered, configs = spmv_sweep_setup
     cycles = benchmark(batch_cycles, lowered, configs)
     assert cycles.shape == (len(configs),)
@@ -100,6 +100,7 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
 
     assert batch.tolist() == fast.tolist()  # same cycles, to the bit
     speedup = fast_s / batch_s
+    ns_per_point = batch_s * 1e9 / work
     lines = [
         "SpMV vl256 latency-sweep re-timing throughput "
         f"({lowered.n} records x {len(configs)} points)",
@@ -108,6 +109,7 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
         f"  batch : {batch_s * 1e3:9.2f} ms/sweep "
         f"({work / batch_s:12.0f} records*points/s)",
         f"  speedup: {speedup:.1f}x",
+        f"  batch walk: {ns_per_point:.2f} ns per record*point",
     ]
     write_result("engine_retiming_throughput", "\n".join(lines))
     verdict = record_ledger("bench_engines", "batch_speedup", speedup,
@@ -117,6 +119,14 @@ def test_bench_batch_vs_fast_retiming_throughput(spmv_sweep_setup):
         f"batch-engine speedup regressed: {verdict.reason}")
     # floor for fresh clones with no ledger history
     assert speedup >= 5.0, f"batch engine only {speedup:.1f}x over fast"
+    # absolute walk cost, judged against this machine's history only
+    verdict = record_ledger("bench_engines", "batch_walk_ns_per_record_point",
+                            ns_per_point, unit="ns",
+                            attrs={"direction": "lower",
+                                   "records": lowered.n,
+                                   "points": len(configs)})
+    assert not verdict.is_regression, (
+        f"batch walk cost per record*point regressed: {verdict.reason}")
 
 
 # Legacy fallback floor: minimum event/event-ref speedup per scale, used

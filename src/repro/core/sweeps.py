@@ -9,9 +9,9 @@ Efficiency structure (what makes paper-scale sweeps tractable):
   functional re-execution entirely;
 * the cache classification and lowering of that trace are computed **once**
   (both are knob-independent) and cached on the trace;
-* every sweep point of the trace is then timed in **one** batch-engine walk
-  (:mod:`repro.engine.batch_sim`) with the knob axis vectorized — not one
-  re-timing pass per point;
+* every sweep point of the trace is then timed in **one** batch-engine call
+  (:mod:`repro.engine.batch_sim`, a native walk over the lowered arrays) —
+  not one Python re-timing pass per point;
 * trace generation for the different implementations fans out across worker
   processes (``jobs=N``, :mod:`repro.core.parallel`);
 * the reference result used for verification is computed once per
@@ -435,7 +435,7 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                      attributions=attributions):
         t0 = time.perf_counter()
         if attributions and engine == "batch" and not keep_reports:
-            # fused path: ONE vectorized walk times every sweep point AND
+            # fused path: ONE batch walk times every sweep point AND
             # every attribution-ladder rung (the ladder's L0 column *is*
             # the sweep cycle count, bit-for-bit), so turning buckets on
             # costs a few extra knob-axis columns, not extra walks
@@ -446,7 +446,7 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             measurements = [measurement(p, att.total, None, att)
                             for p, att in zip(points, atts)]
         elif engine == "batch" and not keep_reports:
-            # compact path: one vectorized walk, a bare cycles vector, no
+            # compact path: one batch walk, a bare cycles vector, no
             # intermediate CycleReport garbage
             cycles = sdv.time_many(trace, configs, engine="batch",
                                    reports=False)
@@ -1075,7 +1075,7 @@ def latency_sweep(
 
     ``attributions=True`` additionally decomposes every sweep point's
     cycles into the :mod:`repro.obs.attribution` buckets (attached per
-    measurement) at the cost of ~3 extra vectorized walks per impl.
+    measurement) at the cost of K+3 extra batch-walk columns per impl.
     With ``jobs > 1`` and a serial engine, the sweep runs the sharded
     scheduler over the shared-memory trace plane (see
     ``docs/parallelism.md``); ``shm=False`` forces the plain per-impl

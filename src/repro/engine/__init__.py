@@ -7,8 +7,9 @@ Four engines consume a :class:`repro.memory.classify.ClassifiedTrace`:
   Milliseconds per run; the single-point reference for the batch engine.
 * :func:`repro.engine.batch_sim.simulate_batch` — the sweep engine: lowers
   the classified trace once (:mod:`repro.engine.lower`) into flat
-  knob-independent arrays, then times **all** sweep points in a single walk
-  with the knob axis as a vectorized NumPy dimension. Bit-identical cycles
+  knob-independent arrays, then times **all** sweep points in one call
+  into a native walk (``walk.c``, built with the local gcc on first use;
+  logged fallback to the fast engine without one). Bit-identical cycles
   to the fast engine at every point.
 * :func:`repro.engine.event_fast.simulate_events_fast` — the production
   discrete-event engine (``engine="event"``): array-backed per-instruction

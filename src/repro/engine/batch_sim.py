@@ -1,19 +1,20 @@
-"""Batch timing engine: every sweep point of one trace in a single walk.
+"""Batch timing engine: every sweep point of one trace in one native walk.
 
-``simulate_fast`` walks the classified trace once *per knob setting*; a
-paper sweep calls it 7-49 times per (kernel, implementation) trace. This
-engine walks the trace **once for all settings**: the per-record frontier
-recurrence is identical at every sweep point, so each machine frontier
-(scalar core, arithmetic pipe, AGU, memory queue, line-MSHR pool) becomes a
-length-``K`` vector — one element per configuration — and every step of the
-recurrence is a NumPy broadcast over that knob axis.
+``simulate_fast`` walks the classified trace once *per knob setting* in
+Python; a paper sweep calls it 7-49 times per (kernel, implementation)
+trace. This engine times all of those settings from the trace's lowered
+form (:func:`repro.engine.lower.lower_trace`, computed once) in a single
+call into a small C kernel, ``walk.c``: the same frontier recurrence, run
+config by config over the flat record arrays, with the knob-dependent
+terms computed inline by the same IEEE operations in the same order. The
+two engines agree bit for bit; the agreement tests pin exact cycle
+equality on all four kernels.
 
-Everything knob-independent was precomputed by :func:`repro.engine.lower.
-lower_trace`; per batch call only the latency-proportional and
-bandwidth-proportional matrices are materialized (vectorized over records
-*and* configs). The arithmetic matches :func:`simulate_fast` operation for
-operation, so the two agree bit-for-bit — the agreement tests pin exact
-cycle equality on all four kernels.
+The kernel is compiled with the local ``gcc`` on the first batch walk and
+cached (see :func:`_load`). When it cannot be built or loaded, the reason
+is logged once (run-log warning ``batch.native_fallback`` plus the
+engine-stats counter of that name) and each config is re-timed through
+:func:`simulate_fast` instead: same cycles, K Python walks.
 
 Configurations in one batch must share everything except the two runtime
 sweep knobs (Latency Controller ``extra_latency_cycles`` and Bandwidth
@@ -22,24 +23,23 @@ Limiter ``bw_num/bw_den``); :class:`repro.errors.EngineError` otherwise.
 
 from __future__ import annotations
 
+import ctypes
+import dataclasses
+import functools
+import hashlib
+import os
+import subprocess
+import tempfile
 from collections.abc import Sequence
+from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
 from repro.config import SdvConfig
 from repro.engine import core_model, vpu_model
-from repro.engine.lower import (
-    FIRST_DRAM,
-    FIRST_L2,
-    LKIND_BARRIER,
-    LKIND_CSR,
-    LKIND_SCALAR,
-    LKIND_VARITH,
-    LKIND_VMEM,
-    LoweredTrace,
-    knob_free_config,
-    lower_trace,
-)
+from repro.engine.fast_sim import simulate_fast
+from repro.engine.lower import LoweredTrace, knob_free_config, lower_trace
 from repro.engine.results import CycleReport
 from repro.errors import EngineError
 from repro.memory.classify import ClassifiedTrace
@@ -57,266 +57,164 @@ def _check_configs(lowered: LoweredTrace,
             )
 
 
-def _knob_axes(lowered: LoweredTrace, configs: Sequence[SdvConfig]):
-    """The two knob vectors: DRAM latency and limiter window per config."""
-    base = lowered.base
-    # identical float path to SdvConfig.dram_latency: (l2 + service) + extra
-    lat_base = base.l2_hit_latency + base.mem.dram_service_cycles
-    lat = np.array([lat_base + c.mem.extra_latency_cycles for c in configs],
-                   dtype=np.float64)
+def _knob_axes(configs: Sequence[SdvConfig]):
+    """DRAM latency, limiter window and L2 hit latency, one per config."""
+    lat = np.array([c.dram_latency for c in configs], dtype=np.float64)
     den = np.array([c.mem.bw_den for c in configs], dtype=np.float64)
     num = np.array([c.mem.bw_num for c in configs], dtype=np.float64)
-    return lat, den, num
+    l2 = np.array([c.l2_hit_latency for c in configs], dtype=np.float64)
+    return lat, den, num, l2
 
 
-def _walk(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
-          num: np.ndarray, l2_lat: np.ndarray | None = None) -> dict:
-    """Run the frontier recurrence once with the knob axis vectorized.
+def _bw_floor(lowered: LoweredTrace, lat: np.ndarray, den: np.ndarray,
+              num: np.ndarray) -> np.ndarray:
+    """Global Bandwidth Limiter floor (exact integer closed form)."""
+    total = lowered.total_dram_reads + lowered.total_dram_writes
+    floor = np.zeros(len(lat))
+    if total > 0:
+        for k in range(len(lat)):
+            floor[k] = (((total - 1) // int(num[k])) * int(den[k]) + 1.0
+                        + lat[k])
+    return floor
 
-    ``l2_lat`` generalizes the axis beyond the two runtime knobs: it is the
-    per-config L2 hit latency (default: the lowered trace's own). The
-    attribution ladder uses it to re-time NoC-free and minimal-cache
-    idealizations from the *same* lowered arrays — the L2 latency enters
-    the model in exactly two places (scalar-block L2 stalls and the
-    first-element latency of L2-served vector loads), both kept as raw
-    counts in the lowered form.
 
-    The loop reuses a fixed set of scratch buffers with ``out=`` ufunc
-    calls and only materializes chain/completion rows for records some
-    later record actually depends on; the arithmetic is operation-for-
-    operation the one :func:`simulate_fast` performs, so cycles agree
-    bit-for-bit (the agreement tests pin this).
+_FLAGS = ("-O2", "-ffp-contract=off", "-fno-fast-math", "-std=c99",
+          "-fPIC", "-shared")
 
-    Returns the end-time vector plus the knob-dependent breakdown pieces.
+
+def _compile_and_load(src: bytes, so: Path):
+    """Build ``src`` to a unique temporary file, load it, then publish it
+    at ``so``; concurrent builders race safely on ``os.replace``."""
+    fd, tmp = tempfile.mkstemp(dir=so.parent, suffix=".so")
+    os.close(fd)
+    try:
+        subprocess.run(["gcc", *_FLAGS, "-x", "c", "-", "-o", tmp],
+                       input=src, capture_output=True, check=True)
+        fn = ctypes.CDLL(tmp).repro_walk
+        os.replace(tmp, so)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return fn
+
+
+def _cache_dir() -> Path | None:
+    """``$XDG_CACHE_HOME/repro`` when it is ours and no one else can
+    write to it, else ``None``."""
+    try:
+        root = Path(os.environ.get("XDG_CACHE_HOME")
+                    or Path.home() / ".cache") / "repro"
+        root.mkdir(mode=0o700, parents=True, exist_ok=True)
+        st = root.stat()
+    except (OSError, RuntimeError):         # RuntimeError: no home dir
+        return None
+    private = st.st_uid == os.getuid() and not st.st_mode & 0o022
+    return root if private and os.access(root, os.W_OK) else None
+
+
+def _load():
+    """``(kernel, None)`` or ``(None, reason)``.
+
+    The shared object is cached under :func:`_cache_dir`, named by the
+    sha256 of the source, the compiler version and the flags; a cached
+    file that fails to load is rebuilt once. Without a usable cache dir
+    each process builds into a fresh private temp dir and reuses nothing
+    (a shared temp dir could hold someone else's file of that name).
+    """
+    try:
+        src = resources.files("repro.engine").joinpath("walk.c").read_bytes()
+        cc = subprocess.run(["gcc", "--version"], capture_output=True,
+                            check=True).stdout
+        tag = hashlib.sha256(src + cc + " ".join(_FLAGS).encode())
+        name = f"repro-walk-{tag.hexdigest()[:16]}.so"
+        root = _cache_dir()
+        if root is None:
+            with tempfile.TemporaryDirectory(prefix="repro-") as tmp:
+                fn = _compile_and_load(src, Path(tmp) / name)
+        else:
+            try:
+                fn = ctypes.CDLL(str(root / name)).repro_walk
+            except (OSError, AttributeError):   # absent, truncated, corrupt
+                fn = _compile_and_load(src, root / name)
+    except (OSError, AttributeError, subprocess.CalledProcessError) as exc:
+        detail = getattr(exc, "stderr", None) or b""
+        return None, f"{type(exc).__name__}: {exc} {detail.decode()}".strip()
+    fn.restype = None
+    fn.argtypes = ([ctypes.c_int64] + [ctypes.c_void_p] * 7
+                   + [ctypes.c_int64] + [ctypes.c_void_p] * 8)
+    return fn, None
+
+
+@functools.lru_cache(maxsize=None)
+def _kernel():
+    """The native walk, loaded on first use; ``None`` (logged once, with
+    the reason) when it cannot be built or loaded."""
+    fn, reason = _load()
+    if fn is None:
+        from repro.obs.engine_stats import get_engine_stats, \
+            introspection_enabled
+        from repro.obs.runlog import get_runlog
+
+        get_runlog().event("batch.native_fallback", level="warn",
+                           reason=reason)
+        if introspection_enabled():
+            get_engine_stats().count("batch.native_fallback")
+    return fn
+
+
+def _walk(lowered: LoweredTrace, configs: Sequence[SdvConfig],
+          axes) -> tuple[np.ndarray, np.ndarray]:
+    """Cycle counts of ``lowered`` at each config, in one native walk,
+    and the bandwidth floor under them; ``axes`` is
+    ``_knob_axes(configs)``.
+
+    The configs need only agree on what the lowered arrays bake in; the
+    attribution ladder also varies the L2 hit latency per column (NoC and
+    cache latencies enter the model only through it). Without the native
+    kernel each config is re-timed through :func:`simulate_fast`, whose
+    cycles the kernel reproduces bit for bit.
     """
     from repro.obs.engine_stats import get_engine_stats, \
         introspection_enabled
 
+    K, n = len(configs), lowered.n
     if introspection_enabled():
         es = get_engine_stats()
         es.count("batch.walks")
-        es.count("batch.points", len(lat))
-        es.count("batch.record_points", lowered.n * len(lat))
-    K = lat.shape[0]
-    n = lowered.n
-    base = lowered.base
-    vpu = base.vpu
-    chaining = vpu.chaining
-    ooo = vpu.ooo_mem_issue
-    q_depth = vpu.mem_queue_depth
-    line_mshrs = vpu.line_mshrs
-    pipe_lat = vpu_model.arith_latency(base)
-    PIPE = float(vpu_model.LANE_PIPE_DEPTH)
-    DISPATCH = core_model.VECTOR_DISPATCH_CYCLES
-    VSETVL = core_model.VSETVL_CYCLES
-    XFER = core_model.SCALAR_RESULT_TRANSFER_CYCLES
-    if l2_lat is None:
-        l2_lat = np.full(K, base.l2_hit_latency)
+        es.count("batch.points", K)
+        es.count("batch.record_points", n * K)
+    lat, den, num, l2 = axes
+    floor = _bw_floor(lowered, lat, den, num)
+    fn = _kernel()
+    if fn is None:
+        return np.array([
+            simulate_fast(dataclasses.replace(lowered.ct, config=c)).cycles
+            for c in configs]), floor
 
-    # knob-dependent per-record matrices, vectorized over (records, K) ----
-    bw_win = den / num                                      # cycles per txn
-    # same float ops in the same order as core_model.scalar_block_time:
-    # (issue + l2_hits*l2_lat/p) + dram_reads*dram_lat/p, then the bw floor
-    sc_total = np.maximum(
-        lowered.sc_issue[:, None]
-        + lowered.sc_l2_hits[:, None] * l2_lat[None, :] / lowered.sc_p[:, None]
-        + lowered.sc_dram_reads[:, None] * lat[None, :] / lowered.sc_p[:, None],
-        lowered.sc_bw_txns[:, None] * den[None, :] / num[None, :],
-    )
-    vm_service = np.maximum(
-        lowered.vm_lines[:, None],
-        lowered.vm_l2_lines[:, None]
-        + lowered.vm_txns[:, None] * den[None, :] / num[None, :],
-    )
-    vm_busy_m = np.maximum(lowered.vm_addr[:, None], vm_service)
-    fkind = lowered.vm_first_kind[:, None]
-    vm_first_m = np.where(fkind == FIRST_DRAM, lat[None, :],
-                          np.where(fkind == FIRST_L2, l2_lat[None, :], 0.0))
-    vm_mshr_m = lowered.vm_dram_reads[:, None] * lat[None, :] / line_mshrs
-
-    # per-record row lists: plain list indexing beats repeated 2-D numpy
-    # row extraction in the walk below
-    sc_rows = list(sc_total)
-    vm_busy = list(vm_busy_m)
-    vm_first = list(vm_first_m)
-    vm_mshr = list(vm_mshr_m)
-    has_dram = (lowered.vm_dram_reads > 0).tolist()
-    va_occ = lowered.va_occ.tolist()
-    vm_addr = lowered.vm_addr.tolist()
-
-    kinds = lowered.kind
-    deps = lowered.dep
-    slots = lowered.slot
-    sdest = lowered.scalar_dest
-
-    # vsetvl/barrier rows only need start/completion stored if something
-    # actually depends on them (register dataflow never does)
-    dep_arr = np.asarray(deps, dtype=np.int64)
-    needed_arr = np.zeros(n, dtype=bool)
-    needed_arr[dep_arr[dep_arr >= 0]] = True
-    needed = needed_arr.tolist()
-
-    # frontiers, one element per config -----------------------------------
-    t_scalar = np.zeros(K)
-    t_arith = np.zeros(K)
-    t_agu = np.zeros(K)
-    t_mshr = np.zeros(K)
-
-    # chain[i] = start + first_latency; completion[i] = completion. Each
-    # record's rows are computed in place (no scratch-then-copy); rows of
-    # records nothing reads stay zero, which the segment maxima below
-    # absorb exactly (all frontier times are non-negative, max is exact).
-    chain = np.zeros((n, K))
-    completion = np.zeros((n, K))
-    chain_rows = list(chain)
-    comp_rows = list(completion)
-    mem_comp: list = []        # completion-row views of memory records
-    n_mem = 0
-
-    b_ready = np.empty(K)
-    b_floor = np.empty(K)
-    b_tmp = np.empty(K)
-
-    add = np.add
-    maximum = np.maximum
-
-    # Instead of running "latest completion" frontiers updated per record,
-    # barrier joins take one vectorized max over the segment's completion
-    # rows: t_arith carries the previous sync forward, so
-    # max(t_scalar, t_arith, completions since the last barrier) equals
-    # the fast engine's 4-way join bit-for-bit.
-    seg0 = 0                   # first record of the current barrier segment
-
-    for i, (kind, dep, slot) in enumerate(zip(kinds, deps, slots)):
-
-        if kind == LKIND_VARITH:
-            add(t_scalar, DISPATCH, out=t_scalar)           # dispatch
-            s_row = chain_rows[i]
-            c_row = comp_rows[i]
-            has_floor = False
-            if dep >= 0:
-                if chaining:
-                    add(chain_rows[dep], PIPE, out=s_row)
-                    maximum(s_row, t_scalar, out=s_row)
-                    maximum(s_row, t_arith, out=s_row)      # s
-                    add(comp_rows[dep], PIPE, out=b_floor)
-                    has_floor = True
-                else:
-                    maximum(t_scalar, comp_rows[dep], out=s_row)
-                    maximum(s_row, t_arith, out=s_row)
-            else:
-                maximum(t_scalar, t_arith, out=s_row)
-            add(s_row, va_occ[slot], out=t_arith)
-            add(t_arith, pipe_lat, out=c_row)
-            if has_floor:
-                maximum(c_row, b_floor, out=c_row)
-            if sdest[i]:
-                add(c_row, XFER, out=b_tmp)
-                maximum(t_scalar, b_tmp, out=t_scalar)
-            continue
-
-        if kind == LKIND_VMEM:
-            add(t_scalar, DISPATCH, out=t_scalar)           # dispatch
-            s_row = chain_rows[i]
-            c_row = comp_rows[i]
-            has_floor = False
-            if dep >= 0:
-                if chaining:
-                    add(chain_rows[dep], PIPE, out=b_ready)
-                    maximum(b_ready, t_scalar, out=b_ready)
-                    add(comp_rows[dep], PIPE, out=b_floor)
-                    has_floor = True
-                else:
-                    maximum(t_scalar, comp_rows[dep], out=b_ready)
-
-                if ooo:
-                    maximum(t_agu, t_scalar, out=t_agu)     # agu_slot
-                    if n_mem >= q_depth:
-                        maximum(t_agu, mem_comp[n_mem - q_depth], out=t_agu)
-                    maximum(t_agu, b_ready, out=b_ready)    # s
-                    add(t_agu, vm_addr[slot], out=t_agu)
-                else:
-                    maximum(b_ready, t_agu, out=b_ready)
-                    if n_mem >= q_depth:
-                        maximum(b_ready, mem_comp[n_mem - q_depth],
-                                out=b_ready)
-                    add(b_ready, vm_addr[slot], out=t_agu)  # b_ready is s
-            else:
-                # no dep: ready == t_scalar, so s collapses onto the AGU
-                # frontier (it already majorizes t_scalar) — one op fewer
-                if ooo:
-                    maximum(t_agu, t_scalar, out=t_agu)     # agu_slot
-                    if n_mem >= q_depth:
-                        maximum(t_agu, mem_comp[n_mem - q_depth], out=t_agu)
-                    b_ready[:] = t_agu                      # s
-                    add(t_agu, vm_addr[slot], out=t_agu)
-                else:
-                    maximum(t_scalar, t_agu, out=b_ready)
-                    if n_mem >= q_depth:
-                        maximum(b_ready, mem_comp[n_mem - q_depth],
-                                out=b_ready)
-                    add(b_ready, vm_addr[slot], out=t_agu)  # b_ready is s
-
-            add(b_ready, vm_first[slot], out=s_row)         # s + first
-            add(s_row, vm_busy[slot], out=c_row)
-            if has_floor:
-                maximum(c_row, b_floor, out=c_row)
-            if has_dram[slot]:
-                add(b_ready, lat, out=b_tmp)
-                maximum(t_mshr, b_tmp, out=t_mshr)
-                add(t_mshr, vm_mshr[slot], out=t_mshr)
-                maximum(c_row, t_mshr, out=c_row)
-            mem_comp.append(c_row)
-            n_mem += 1
-            continue
-
-        if kind == LKIND_SCALAR:
-            add(t_scalar, sc_rows[slot], out=t_scalar)
-            continue
-
-        if kind == LKIND_CSR:
-            add(t_scalar, VSETVL, out=t_scalar)
-            if needed[i]:
-                chain_rows[i][:] = t_scalar
-                comp_rows[i][:] = t_scalar
-            continue
-
-        # LKIND_BARRIER
-        maximum(t_scalar, t_arith, out=b_tmp)
-        if i > seg0:
-            completion[seg0:i].max(axis=0, out=b_ready)
-            maximum(b_tmp, b_ready, out=b_tmp)              # t_sync
-        np.minimum(t_mshr, b_tmp, out=t_mshr)
-        t_scalar[:] = b_tmp
-        t_arith[:] = b_tmp
-        t_agu[:] = b_tmp
-        if needed[i]:
-            chain_rows[i][:] = b_tmp
-            comp_rows[i][:] = b_tmp
-        seg0 = i + 1
-
-    t_end = maximum(t_scalar, t_arith)
-    if n > seg0:
-        completion[seg0:n].max(axis=0, out=b_ready)
-        t_end = maximum(t_end, b_ready)
-
-    # global Bandwidth Limiter floor (exact integer closed form per config)
-    total = lowered.total_dram_reads + lowered.total_dram_writes
-    bw_floor = np.zeros(K)
-    if total > 0:
-        for k in range(K):
-            bw_floor[k] = (((total - 1) // int(num[k])) * int(den[k]) + 1.0
-                           + lat[k])
-    cycles = maximum(t_end, bw_floor)
-
-    return {
-        "cycles": cycles,
-        "bw_floor": bw_floor,
-        "sc_total": sc_total,
-        "vm_busy": vm_busy_m,
-        "bw_win": bw_win,
-        "lat": lat,
-    }
+    vpu = lowered.base.vpu
+    L = lowered
+    per_rec = [np.ascontiguousarray(a, dtype=t) for a, t in (
+        (L.kind, np.int8), (L.dep, np.int64), (L.slot, np.int64),
+        (L.scalar_dest, np.uint8), (L.vm_first_kind, np.int8))]
+    cols = [np.ascontiguousarray(c, dtype=np.float64) for c in (
+        L.sc_issue, L.sc_l2_hits, L.sc_dram_reads, L.sc_p, L.sc_bw_txns,
+        L.va_occ, L.vm_addr, L.vm_lines, L.vm_l2_lines, L.vm_txns,
+        L.vm_dram_reads)]
+    table = (ctypes.c_void_p * len(cols))(*[c.ctypes.data for c in cols])
+    prm = np.array([vpu_model.arith_latency(L.base),
+                    vpu_model.LANE_PIPE_DEPTH,
+                    core_model.VECTOR_DISPATCH_CYCLES,
+                    core_model.VSETVL_CYCLES,
+                    core_model.SCALAR_RESULT_TRANSFER_CYCLES,
+                    vpu.line_mshrs, vpu.chaining, vpu.ooo_mem_issue,
+                    vpu.mem_queue_depth], dtype=np.float64)
+    # chain, completion, mem_queue_depth ring; then the end times
+    out = [np.empty(n), np.empty(n), np.empty(vpu.mem_queue_depth),
+           np.empty(K)]
+    kind, dep, slot, sdest, first = (a.ctypes.data for a in per_rec)
+    fn(n, kind, dep, slot, sdest, table, first, prm.ctypes.data, K,
+       *(a.ctypes.data for a in (lat, den, num, l2, *out)))
+    return np.maximum(out[-1], floor), floor
 
 
 def batch_cycles(lowered: LoweredTrace,
@@ -330,8 +228,7 @@ def batch_cycles(lowered: LoweredTrace,
     _check_configs(lowered, configs)
     if lowered.n == 0:
         return np.zeros(len(configs))
-    lat, den, num = _knob_axes(lowered, configs)
-    return _walk(lowered, lat, den, num)["cycles"]
+    return _walk(lowered, configs, _knob_axes(configs))[0]
 
 
 def simulate_batch(lowered: LoweredTrace,
@@ -347,24 +244,34 @@ def simulate_batch(lowered: LoweredTrace,
     if lowered.n == 0:
         return [CycleReport(cycles=0.0, engine="batch") for _ in range(K)]
 
-    lat, den, num = _knob_axes(lowered, configs)
-    out = _walk(lowered, lat, den, num)
+    axes = _knob_axes(configs)
+    cycles, bw_floor = _walk(lowered, configs, axes)
+    lat, den, num, _ = axes
 
     issue = float(lowered.sc_issue.sum())
     stall_l2 = float(lowered.sc_stall_l2.sum())
     stall_dram_per_lat = float((lowered.sc_dram_reads / lowered.sc_p).sum())
     varith = float(lowered.va_occ.sum())
-    vmem = out["vm_busy"].sum(axis=0) if lowered.n_vmem else np.zeros(K)
+    if lowered.n_vmem:
+        # per-instruction memory-unit busy time, max(AGU, streaming)
+        vm_service = np.maximum(
+            lowered.vm_lines[:, None],
+            lowered.vm_l2_lines[:, None]
+            + lowered.vm_txns[:, None] * den[None, :] / num[None, :],
+        )
+        vmem = np.maximum(lowered.vm_addr[:, None], vm_service).sum(axis=0)
+    else:
+        vmem = np.zeros(K)
 
     return [
         CycleReport(
-            cycles=float(out["cycles"][k]),
+            cycles=float(cycles[k]),
             engine="batch",
             scalar_issue_cycles=issue,
             scalar_stall_cycles=stall_l2 + stall_dram_per_lat * lat[k],
             vpu_arith_cycles=varith,
             vpu_mem_cycles=float(vmem[k]),
-            bandwidth_bound_cycles=float(out["bw_floor"][k]),
+            bandwidth_bound_cycles=float(bw_floor[k]),
             dram_reads=lowered.total_dram_reads,
             dram_writes=lowered.total_dram_writes,
             meta={"records": lowered.n, "batch_size": K},

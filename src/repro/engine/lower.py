@@ -10,11 +10,10 @@ knob) and to the limiter window ``bw_den/bw_num`` change.
 
 :func:`lower_trace` factors that split out once: it compiles a
 :class:`repro.memory.classify.ClassifiedTrace` into a :class:`LoweredTrace`
-of plain NumPy arrays and Python lists — no structured-array row objects,
-no enum lookups, no cost-model calls left on the timing path. The batch
-engine (:mod:`repro.engine.batch_sim`) then times every sweep point in a
-single trace walk, broadcasting the per-record recurrence over the knob
-axis.
+of flat, contiguous NumPy arrays — no structured-array row objects, no
+enum lookups, no cost-model calls left on the timing path. The batch
+engine (:mod:`repro.engine.batch_sim`) then times every sweep point from
+those arrays in one native walk (``walk.c``).
 
 The decompositions mirror :mod:`repro.engine.core_model` and
 :mod:`repro.engine.vpu_model` term by term (same operations in the same
@@ -26,7 +25,7 @@ every kernel.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -76,20 +75,23 @@ def knob_free_config(config: SdvConfig) -> SdvConfig:
 class LoweredTrace:
     """Knob-independent compilation of one classified trace.
 
-    Per-record lists drive the sequential frontier walk; the kind-specific
-    arrays are indexed by ``slot`` (each record's position within its own
-    kind) and feed the vectorized per-batch matrix precomputation.
+    Per-record arrays drive the sequential frontier walk (typed and
+    contiguous, as the native walk reads them); the kind-specific arrays
+    are indexed by ``slot`` (each record's position within its own kind).
+    ``ct`` is the classified trace this was lowered from: the batch
+    engine re-times it through ``simulate_fast`` when the native walk is
+    unavailable.
     """
 
     base: SdvConfig            # config the trace was classified under
     base_key: SdvConfig        # knob_free_config(base): batch compat key
     n: int
 
-    # per-record walk data (python lists: fastest scalar indexing)
-    kind: list                 # LKIND_* codes
-    dep: list                  # producing record index, -1 if none
-    slot: list                 # index into the kind-specific arrays below
-    scalar_dest: list          # bool per record
+    # per-record walk data
+    kind: np.ndarray           # int8 LKIND_* codes
+    dep: np.ndarray            # int64 producing record index, -1 if none
+    slot: np.ndarray           # int64 index into the kind-specific arrays
+    scalar_dest: np.ndarray    # bool per record
 
     # scalar blocks, indexed by slot --------------------------------------
     sc_const: np.ndarray       # issue + L2 stall (knob-independent cycles)
@@ -114,6 +116,8 @@ class LoweredTrace:
     # trace-wide totals ---------------------------------------------------
     total_dram_reads: int      # demand + prefetch reads (fast-engine count)
     total_dram_writes: int
+
+    ct: ClassifiedTrace = field(repr=False, compare=False)
 
     @property
     def n_vmem(self) -> int:
@@ -183,14 +187,17 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         vm_dr > 0, FIRST_DRAM, np.where(vm_lines_i > 0, FIRST_L2, FIRST_NONE)
     ).astype(np.int8)
 
-    # -- per-record walk lists --------------------------------------------
-    lkind = np.asarray(kinds_arr, dtype=np.int64).copy()
+    # -- per-record walk arrays -------------------------------------------
+    lkind = np.asarray(kinds_arr, dtype=np.int8).copy()
     lkind[csr_mask] = LKIND_CSR
     slot = np.zeros(n, dtype=np.int64)
     for mask in (sc_mask, va_mask, vm_mask):
         slot[mask] = np.arange(int(mask.sum()))
-    deps = rows["dep"]
+    deps = np.ascontiguousarray(rows["dep"], dtype=np.int64)
     dep_targets = deps[deps >= 0]
+    # the native walk indexes its scratch rows by dep without a bounds check
+    if dep_targets.size and int(dep_targets.max()) >= n:
+        raise EngineError("dependency edge points past the end of the trace")
     # The walk only records start/completion for vector records; a dep edge
     # into a scalar block (impossible for register dataflow) would read
     # stale zeros, so reject it up front.
@@ -205,10 +212,10 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         base=config,
         base_key=knob_free_config(config),
         n=n,
-        kind=lkind.tolist(),
-        dep=deps.tolist(),
-        slot=slot.tolist(),
-        scalar_dest=(rows["scalar_dest"] != 0).tolist(),
+        kind=lkind,
+        dep=deps,
+        slot=slot,
+        scalar_dest=rows["scalar_dest"] != 0,
         sc_const=np.asarray(sc_issue + sc_stall_l2, dtype=np.float64),
         sc_l2_hits=sc["l2_hits"].astype(np.float64),
         sc_dram_reads=sc["dram_reads"].astype(np.float64),
@@ -225,4 +232,5 @@ def lower_trace(ct: ClassifiedTrace) -> LoweredTrace:
         vm_first_kind=vm_first_kind,
         total_dram_reads=total_reads,
         total_dram_writes=total_writes,
+        ct=ct,
     )

@@ -151,11 +151,12 @@ def _demands(lowered: LoweredTrace) -> tuple[float, float]:
     These are pure work totals from the lowered arrays — the same numbers
     for every engine — used to split the fully idealized base level.
     """
-    n_dispatch = sum(1 for k in lowered.kind
-                     if k == LKIND_VARITH or k == LKIND_VMEM)
-    n_csr = sum(1 for k in lowered.kind if k == LKIND_CSR)
-    n_sdest = sum(1 for k, sd in zip(lowered.kind, lowered.scalar_dest)
-                  if sd and k == LKIND_VARITH)
+    kind = lowered.kind
+    n_dispatch = int(np.count_nonzero((kind == LKIND_VARITH)
+                                      | (kind == LKIND_VMEM)))
+    n_csr = int(np.count_nonzero(kind == LKIND_CSR))
+    n_sdest = int(np.count_nonzero(lowered.scalar_dest
+                                   & (kind == LKIND_VARITH)))
     issue = (float(lowered.sc_issue.sum())
              + n_dispatch * VECTOR_DISPATCH_CYCLES
              + n_csr * VSETVL_CYCLES
@@ -326,8 +327,8 @@ def attribute_many(ct: ClassifiedTrace, configs, *,
     L0 and L1 per config (actual knobs / limiter at peak), then the three
     knob-free idealizations L2 (zero DRAM latency), L3 (plus a
     zero-latency NoC) and L4 (plus 1-cycle caches). L3/L4 reuse the same
-    lowered arrays via the walk's ``l2_lat`` axis: the NoC and cache
-    latencies enter the timing model only through the L2 hit latency, so
+    lowered arrays: the NoC and cache latencies enter the timing model
+    only through the L2 hit latency, which the walk takes per column, so
     idealizing them is a per-column latency substitution, not a
     re-lowering. Total work for K sweep points: one walk, not 5K runs.
 
@@ -342,20 +343,10 @@ def attribute_many(ct: ClassifiedTrace, configs, *,
         return [_empty("batch") for _ in configs]
 
     K = len(configs)
-    lat, den, num = _knob_axes(lowered, configs)
-    ones = np.ones(K + 3)
-    l2_base = lowered.base.l2_hit_latency
-    ladder = attribution_ladder(lowered.base_key)
-    # L2..L4 collapse DRAM onto the (progressively idealized) L2: their
-    # dram_latency equals their l2_hit_latency, via the same float path
-    # the ladder configs themselves compute
-    ideal = [(cfg.dram_latency, cfg.l2_hit_latency) for cfg in ladder[2:]]
-    lat_all = np.concatenate([lat, lat, [dl for dl, _ in ideal]])
-    den_all = np.concatenate([den, ones])
-    num_all = np.concatenate([num, ones])
-    l2_all = np.concatenate([np.full(2 * K + 1, l2_base),
-                             [l2 for _, l2 in ideal[1:]]])
-    cyc = _walk(lowered, lat_all, den_all, num_all, l2_lat=l2_all)["cycles"]
+    peak = [dataclasses.replace(c, mem=dataclasses.replace(
+        c.mem, bw_num=1, bw_den=1)) for c in configs]
+    ladder = configs + peak + list(attribution_ladder(lowered.base_key)[2:])
+    cyc, _ = _walk(lowered, ladder, _knob_axes(ladder))
     t2 = float(cyc[2 * K])
     t3 = float(cyc[2 * K + 1])
     t4 = float(cyc[2 * K + 2])

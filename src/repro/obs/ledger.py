@@ -158,12 +158,17 @@ def load_and_validate(path) -> list[dict]:
     return records
 
 
-def series(records: list[dict], bench: str, metric: str,
-           scale: str) -> list[float]:
-    """The chronological value series of one (bench, metric, scale) key."""
+def series(records: list[dict], bench: str, metric: str, scale: str,
+           machine: str | None = None) -> list[float]:
+    """The chronological value series of one (bench, metric, scale) key.
+
+    ``machine`` (a :func:`machine_fingerprint` id) keeps only that
+    machine's records: wall times from different hosts are not one series.
+    """
     return [r["value"] for r in records
             if r.get("bench") == bench and r.get("metric") == metric
-            and r.get("scale") == scale]
+            and r.get("scale") == scale
+            and (machine is None or r["machine"].get("id") == machine)]
 
 
 def series_keys(records: list[dict]) -> list[tuple[str, str, str]]:
@@ -267,38 +272,51 @@ def detect_regression(history: list[float], value: float, *,
     )
 
 
+def _judge(history: list[float], value: float, direction: str,
+           **kwargs) -> Verdict:
+    """:func:`detect_regression` in the series' own direction: a
+    lower-is-better series is judged on its negation, with the verdict's
+    value/median/threshold mapped back to the original sign."""
+    if direction != "lower":
+        return detect_regression(history, value, **kwargs)
+    v = detect_regression([-x for x in history], -value, **kwargs)
+    return Verdict(status=v.status, value=-v.value, median=-v.median,
+                   mad=v.mad, threshold=-v.threshold, samples=v.samples,
+                   reason=v.reason + " [lower-is-better, judged on the "
+                   "negated series]")
+
+
 def check_series(records: list[dict], bench: str, metric: str, scale: str,
                  value: float, **kwargs) -> Verdict:
-    """Detector over a loaded ledger: judge ``value`` against the series'
-    committed history."""
-    return detect_regression(series(records, bench, metric, scale), value,
-                             **kwargs)
+    """Detector over a loaded ledger: judge ``value`` (measured on this
+    machine) against the series' committed history. A lower-is-better
+    series (wall times, overheads) is judged only against this machine's
+    records."""
+    direction = series_direction(records, bench, metric, scale)
+    machine = machine_fingerprint()["id"] if direction == "lower" else None
+    return _judge(series(records, bench, metric, scale, machine), value,
+                  direction, **kwargs)
 
 
 def perf_diff(records: list[dict], **kwargs) -> list[tuple[tuple, Verdict]]:
     """Judge the *latest* record of every series against its own prior
     history (``repro-sdv perf-diff``). Returns ``[(key, verdict), ...]``.
 
-    The detector is written for higher-is-better values; lower-is-better
-    series (tagged ``attrs.direction: "lower"`` — overheads, wall times)
-    are judged on their negation, with the verdict's value/median/
-    threshold mapped back to the original sign.
+    Lower-is-better series (tagged ``attrs.direction: "lower"``) are
+    judged on their negation, and only against records from the latest
+    record's machine.
     """
     out = []
     for key in series_keys(records):
-        values = series(records, *key)
-        if series_direction(records, *key) == "lower":
-            v = detect_regression([-x for x in values[:-1]], -values[-1],
-                                  **kwargs)
-            v = Verdict(status=v.status, value=-v.value, median=-v.median,
-                        mad=v.mad, threshold=-v.threshold,
-                        samples=v.samples,
-                        reason=v.reason + " [lower-is-better, judged "
-                        "on the negated series]")
-            out.append((key, v))
-        else:
-            out.append((key, detect_regression(values[:-1], values[-1],
-                                               **kwargs)))
+        direction = series_direction(records, *key)
+        machine = None
+        if direction == "lower":
+            machine = [r for r in records if (r["bench"], r["metric"],
+                                              r["scale"]) == key
+                       ][-1]["machine"].get("id")
+        values = series(records, *key, machine)
+        out.append((key, _judge(values[:-1], values[-1], direction,
+                                **kwargs)))
     return out
 
 

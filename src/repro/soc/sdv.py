@@ -273,7 +273,7 @@ class FpgaSdv:
         """Time one sealed trace at many knob settings in one call.
 
         With ``engine="batch"`` the trace is lowered once and every config
-        is timed in a single vectorized walk; ``fast``/``event`` fall back
+        is timed in a single native walk; ``fast``/``event`` fall back
         to one run per config (same results — the batch engine matches
         ``fast`` bit-for-bit — but K trace walks instead of one). With
         ``reports=False`` the batch path returns a bare float64 cycles

@@ -24,10 +24,20 @@ from repro.engine.batch_sim import (
     simulate_batch_one,
 )
 from repro.engine.fast_sim import simulate_fast
-from repro.engine.lower import knob_free_config, lower_trace
+from repro.engine.lower import (
+    LKIND_BARRIER,
+    LKIND_SCALAR,
+    knob_free_config,
+    lower_trace,
+)
 from repro.errors import EngineError
+from repro.isa import ScalarContext, VectorContext
 from repro.kernels import KERNELS
+from repro.memory.address_space import MemoryImage
+from repro.memory.classify import classify_trace
+from repro.obs.attribution import attribute, attribute_many
 from repro.soc import FpgaSdv
+from repro.trace.events import TraceBuffer
 from repro.trace.serialize import load_trace, save_trace
 from repro.workloads import get_scale
 
@@ -165,3 +175,102 @@ def test_lower_trace_validates_dependency_targets():
     assert lowered.n == len(ct.rows)
     assert lowered.total_dram_reads == int(
         ct.rows["dram_reads"].sum() + ct.rows["pf_dram_reads"].sum())
+
+    # edges the native walk could not index safely are rejected up front
+    scalar_row = int(np.flatnonzero(lowered.kind == LKIND_SCALAR)[0])
+    for bad_dep in (lowered.n, scalar_row):
+        rows = ct.rows.copy()
+        rows["dep"][-1] = bad_dep
+        with pytest.raises(EngineError, match="dependency edge"):
+            lower_trace(dataclasses.replace(ct, rows=rows))
+
+
+# -- kernel edge cases ------------------------------------------------------
+
+#: VPU builds that switch off or shrink each walk feature
+VPU_VARIANTS = {
+    "default": {},
+    "no-chaining": {"chaining": False},
+    "in-order-mem": {"ooo_mem_issue": False},
+    "queue-depth-1": {"mem_queue_depth": 1},
+    "in-order-queue-depth-2": {"ooo_mem_issue": False,
+                               "mem_queue_depth": 2},
+    "line-mshrs-7": {"line_mshrs": 7},
+}
+
+
+def _axpy_then_gather(mem, scl, vec, *, barriers):
+    """Dependent strided and indexed vector work; ``barriers`` places
+    barriers (a leading one, two in a row, none at the end)."""
+    rng = np.random.default_rng(3)
+    x = mem.alloc("x", np.arange(2048, dtype=np.float64))
+    y = mem.alloc("y", rng.random(1 << 12))
+    idx = mem.alloc("idx", rng.integers(0, 1 << 12, 1024))
+    if barriers:
+        scl.barrier()
+    i = 0
+    while i < 2048:
+        vl = vec.vsetvl(2048 - i)
+        xv = vec.vle(x, i)
+        vec.vse(vec.vfmacc(xv, xv, 3.0), x, i)
+        i += vl
+    scl.emit_block(y.addr(rng.integers(0, 1 << 12, 256)), False, 512)
+    if barriers:
+        scl.barrier()
+        scl.barrier()          # a barrier-only segment
+    i = 0
+    while i < 1024:
+        vl = vec.vsetvl(1024 - i)
+        vec.vlxe(y, vec.vle(idx, i))
+        i += vl
+
+
+def _hand_trace(barriers):
+    mem = MemoryImage(1 << 22)
+    trace = TraceBuffer()
+    vec = VectorContext(mem, trace, max_vl=64)
+    scl = ScalarContext(mem, trace)
+    _axpy_then_gather(mem, scl, vec, barriers=barriers)
+    scl.flush()
+    return trace.seal()
+
+
+def _edge_trace(program, config):
+    if program == "spmv-vl64":
+        spec = KERNELS["spmv"]
+        _, trace = run_implementation(spec, spec.prepare(
+            get_scale("smoke"), 7), 64, verify=False)
+    else:
+        trace = _hand_trace(barriers=program == "barrier-only-segment")
+    return classify_trace(trace, config)
+
+
+@pytest.mark.parametrize("program", ["spmv-vl64", "no-final-barrier",
+                                     "barrier-only-segment"])
+@pytest.mark.parametrize("variant", sorted(VPU_VARIANTS))
+def test_batch_matches_fast_on_kernel_edge_cases(program, variant):
+    base = SdvConfig()
+    config = dataclasses.replace(base, vpu=dataclasses.replace(
+        base.vpu, **VPU_VARIANTS[variant])).validate()
+    ct = _edge_trace(program, config)
+    lowered = lower_trace(ct)
+    kinds = lowered.kind
+    if program == "no-final-barrier":
+        assert kinds[-1] != LKIND_BARRIER
+        assert not np.any(kinds == LKIND_BARRIER)
+    if program == "barrier-only-segment":
+        bars = np.flatnonzero(kinds == LKIND_BARRIER)
+        assert np.any(np.diff(bars) == 1) and bars[0] == 0
+
+    configs = grid_configs(config)
+    fast = [simulate_fast(dataclasses.replace(ct, config=c)).cycles
+            for c in configs]
+    assert batch_cycles(lowered, configs).tolist() == fast
+
+    # attribution: the 2K+3-column ladder walk against per-point fast
+    points = configs[::4]
+    many = attribute_many(ct, points, lowered=lowered)
+    for cfg, att in zip(points, many):
+        ref = attribute(dataclasses.replace(ct, config=cfg), engine="fast")
+        assert att.ladder == ref.ladder
+        assert att.buckets == ref.buckets

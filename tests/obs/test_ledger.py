@@ -18,6 +18,7 @@ from repro.obs.ledger import (
     detect_regression,
     load_and_validate,
     load_ledger,
+    machine_fingerprint,
     perf_diff,
     render_perf_diff,
     series,
@@ -174,6 +175,38 @@ class TestPerfDiff:
         # verdict values map back to the original sign
         assert good.value == pytest.approx(1.0)
         assert bad.value == pytest.approx(12.0)
+
+    def test_lower_series_judged_per_machine(self, tmp_path):
+        """Wall times from a second (faster) machine must not enter the
+        first machine's verdict, in perf-diff or in check_series."""
+        path = tmp_path / "ledger.jsonl"
+        attrs = {"direction": "lower"}
+
+        def rec(value, machine_id):
+            r = _rec(value, metric="wall_s", attrs=attrs)
+            r["machine"] = dict(r["machine"], id=machine_id)
+            return r
+
+        for v in (4.0, 4.2, 3.9, 4.1, 4.0, 4.05):
+            append_record(path, rec(v, "machine-a"))
+        for v in (1.0, 1.1, 0.9, 1.05, 1.0, 0.95):
+            append_record(path, rec(v, "machine-b"))
+        append_record(path, rec(4.1, "machine-a"))
+        [(key, v)] = perf_diff(load_ledger(path))
+        assert key == ("bench_x", "wall_s", "ci")
+        assert v.status == "ok", v.reason
+        assert v.samples == 6
+        assert v.median == pytest.approx(4.025)
+
+        # this machine has no history of its own: nothing to judge against
+        v = check_series(load_ledger(path), "bench_x", "wall_s", "ci", 40.0)
+        assert v.status == "insufficient"
+        # same-machine history does judge, on the negated series
+        mine = machine_fingerprint()["id"]
+        for x in (4.0, 4.2, 3.9, 4.1, 4.0):
+            append_record(path, rec(x, mine))
+        v = check_series(load_ledger(path), "bench_x", "wall_s", "ci", 40.0)
+        assert v.is_regression and v.samples == 5
 
     def test_render_orders_worst_first(self):
         results = [
