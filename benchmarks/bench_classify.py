@@ -1,31 +1,13 @@
 """Classification-engine bench: the vectorized stack-distance kernel.
 
-Three ledger series, measuring the same change at three honesty levels
-(``docs/memory-model.md`` quotes all three):
-
-``classify_throughput`` — the engine-alone ratio: the sequential
-reference walker (:func:`repro.memory.classify.classify_trace`) against
-the vectorized stack-distance engine (:func:`repro.memory.classify_fast.
+One ledger series, ``classify_throughput`` (``docs/memory-model.md``
+quotes it): the sequential reference walker
+(:func:`repro.memory.classify.classify_trace`) against the vectorized
+stack-distance engine (:func:`repro.memory.classify_fast.
 classify_trace_fast`) on the record-heaviest kernel trace, identical
 output bit-for-bit. The per-set LRU state update is irreducibly
 sequential per set, so this ratio plateaus around 2-2.5x — real, but
 modest, and the series records that number honestly.
-
-``classify_shard_attach`` — the per-shard ratio the classified shm
-plane delivers: what a phase-B shard pays to *obtain* its trace's
-classification. Before this plane, a shard whose worker had not already
-classified the trace reclassified it from scratch with the walker; now
-it attaches the published columnar classification as a zero-copy view
-plus a level-array unpack. This is the >=5x headline series (fresh-
-clone floor 5x at paper scale).
-
-``classify_sweep_total`` — the per-implementation total, the most
-conservative accounting: old = one walker classification per worker
-that touches the implementation's shards (PR 8's per-worker trace memo
-already deduplicated beyond that), new = one stack classification in
-phase A plus one attach per shard. The honest multiple here is ~4x at
-paper scale — smaller than the per-shard ratio because the one
-unavoidable phase-A classification amortizes over few shards.
 
 Run at paper scale (``REPRO_BENCH_SCALE=paper``) for the quoted
 numbers; the default ci scale keeps CI under a minute.
@@ -35,11 +17,10 @@ import os
 import time
 
 import numpy as np
-from conftest import LATENCIES, record_ledger, write_result
+from conftest import record_ledger, write_result
 
 from repro.config import SdvConfig
-from repro.core.shm import TracePlane, shm_available
-from repro.core.sweeps import _plan_shards, run_implementation
+from repro.core.sweeps import run_implementation
 from repro.kernels import KERNELS
 from repro.memory.classify import classify_trace
 from repro.memory.classify_fast import classify_trace_fast
@@ -48,7 +29,6 @@ KERNEL = "spmv"
 #: the shortest-vector build has the most records by far, making it both
 #: the dominant classification cost of a sweep and the steadiest timing
 VL = 8
-JOBS = 4
 
 #: fresh-clone floors (ledger median+MAD is the bar once history exists).
 #: The engine ratio grows with trace size — fixed per-run setup (round
@@ -56,14 +36,6 @@ JOBS = 4
 #: higher than the small ci-scale one.
 _ENGINE_FLOOR = {"paper": 1.5}  # default 1.1 below
 _ENGINE_FLOOR_DEFAULT = 1.1
-#: the >=5x acceptance bar lives on the per-shard attach series
-_ATTACH_FLOOR = {"paper": 5.0}
-_ATTACH_FLOOR_DEFAULT = 3.0
-#: per-impl total: the phase-A classification amortizes over few shards
-_SWEEP_FLOOR = {"paper": 3.0}
-_SWEEP_FLOOR_DEFAULT = 2.0
-
-_PREFIX = "repro-bench-classify-"
 
 
 def _median_time(fn, repeats=5):
@@ -99,55 +71,12 @@ def test_bench_classify_throughput(workloads):
     t_stack = _median_time(lambda: classify_trace_fast(trace, cfg))
     engine_ratio = t_walk / t_stack
 
-    # -- the sweep-level total: per-shard reclassify vs classify-once +
-    #    per-shard plane attach --------------------------------------------
-    n_impls = 7  # scalar + the six paper VLs (fig3 grid)
-    shards = _plan_shards(len(LATENCIES), len(trace),
-                          n_impls * len(LATENCIES) * len(trace), JOBS, None)
-    j = max(1, len(shards))
-    t_attach = 0.0
-    plane_up = shm_available()
-    if plane_up:
-        owner = TracePlane()
-        try:
-            ref = owner.publish_classified("bench", stack_ct,
-                                           prefix=_PREFIX)
-            plane_up = ref is not None
-            if plane_up:
-                def attach_once():
-                    # a fresh plane per attach = what each shard worker
-                    # process pays (map + dtype rebuild + level unpack)
-                    worker = TracePlane()
-                    got = worker.attach_classified(ref, trace, cfg)
-                    assert got is not None
-                    worker.detach(ref)
-                t_attach = _median_time(attach_once)
-        finally:
-            owner.unlink_all()
-    # old: one walker run per worker touching this impl's shards (the
-    # PR 8 per-worker trace memo already deduplicated beyond that);
-    # new: one phase-A stack run + one attach per shard
-    n_walks = min(j, JOBS)
-    old_total = n_walks * t_walk
-    new_total = t_stack + j * t_attach
-    sweep_ratio = old_total / new_total
-    attach_ratio = t_walk / t_attach if t_attach else float("nan")
-
     lines = [
         f"classification engines — {KERNEL} vl{VL} ({scale_name} scale, "
-        f"{len(trace)} records, {j} shards/impl at jobs={JOBS}, "
-        f"shm={'up' if plane_up else 'unavailable'})",
+        f"{len(trace)} records)",
         f"  walker (reference)   : {t_walk * 1e3:8.1f} ms",
         f"  stack-distance engine: {t_stack * 1e3:8.1f} ms",
         f"  engine-alone speedup : {engine_ratio:.2f}x",
-        f"  plane attach (shard) : {t_attach * 1e3:8.2f} ms",
-        f"  per-shard speedup    : {attach_ratio:.1f}x "
-        f"(attach vs walker reclassify)",
-        f"  per-impl total, old  : {old_total * 1e3:8.1f} ms "
-        f"({n_walks} walker runs)",
-        f"  per-impl total, new  : {new_total * 1e3:8.1f} ms "
-        f"(stack once + {j} x attach)",
-        f"  per-impl speedup     : {sweep_ratio:.1f}x",
     ]
     write_result("classify_throughput", "\n".join(lines))
 
@@ -163,33 +92,3 @@ def test_bench_classify_throughput(workloads):
         assert not v_engine.is_regression, (
             f"classify throughput regressed: {v_engine.reason}")
 
-    if not plane_up:
-        # no shm: the attach comparisons have no attach leg; the engine
-        # series above is the whole bench
-        return
-    v_attach = record_ledger(
-        "bench_classify", "classify_shard_attach", attach_ratio,
-        attrs={"kernel": KERNEL, "vl": VL, "records": len(trace)})
-    attach_floor = _ATTACH_FLOOR.get(scale_name, _ATTACH_FLOOR_DEFAULT)
-    if v_attach.status == "insufficient":
-        assert attach_ratio >= attach_floor, (
-            f"plane attach only {attach_ratio:.1f}x over walker "
-            f"reclassify per shard (floor {attach_floor}x; "
-            f"ledger: {v_attach.reason})")
-    else:
-        assert not v_attach.is_regression, (
-            f"per-shard attach ratio regressed: {v_attach.reason}")
-
-    v_sweep = record_ledger(
-        "bench_classify", "classify_sweep_total", sweep_ratio,
-        attrs={"kernel": KERNEL, "vl": VL, "shards": j, "jobs": JOBS})
-    sweep_floor = _SWEEP_FLOOR.get(scale_name, _SWEEP_FLOOR_DEFAULT)
-    if v_sweep.status == "insufficient":
-        assert sweep_ratio >= sweep_floor, (
-            f"classify-once + plane attach only {sweep_ratio:.1f}x over "
-            f"per-shard reclassification (floor {sweep_floor}x; "
-            f"ledger: {v_sweep.reason})")
-    else:
-        assert not v_sweep.is_regression, (
-            f"sweep-level classification total regressed: "
-            f"{v_sweep.reason}")

@@ -13,15 +13,11 @@ plain sweep.
 
 import time
 
-import pytest
 from conftest import LATENCIES, VLS, record_ledger, write_result
 
-import repro.core.shm as shm_mod
-from repro.core.shm import TracePlane, plane_prefix, shm_available
 from repro.core.sweeps import latency_sweep, run_implementation
 from repro.engine import simulate_events_fast
 from repro.kernels import KERNELS
-from repro.lint.sanitize import ShadowTracker
 from repro.obs.engine_stats import get_engine_stats, set_introspection
 from repro.obs.spans import set_tracing
 
@@ -144,72 +140,3 @@ def test_bench_engine_counter_overhead(workloads):
         f"disabled-introspection timings drift {off_drift_pct:.2f}% "
         f"(>1%): the counters-off path is paying measurable work")
 
-
-_PLANE_OPS = 64
-_PLANE_PAYLOAD = b"\xab" * (512 * 1024)  # a smoke-scale trace segment
-
-
-def _plane_ops_once() -> float:
-    """One timed round of the full segment lifecycle, publisher +
-    attacher, the operation mix a sharded sweep repeats per shard."""
-    owner = TracePlane()
-    worker = TracePlane()
-    t0 = time.perf_counter()
-    for i in range(_PLANE_OPS):
-        ref = owner.publish_bytes(f"bench:{i}", _PLANE_PAYLOAD,
-                                  prefix=plane_prefix())
-        worker.attach_bytes(ref)
-        worker.detach(ref)
-        owner.release(ref)
-    return time.perf_counter() - t0
-
-
-def test_bench_sanitizer_overhead():
-    """Sanitizer shadow tracking on the plane hot path: <=5% with the
-    hooks live.
-
-    The ``REPRO_SANITIZE`` hooks are a ``None`` check per plane call when
-    off and a handful of dict updates when on; like the engine-counter
-    bench, each round brackets the tracked timing with two untracked ones
-    so machine drift cancels out of the comparison. A fresh tracker per
-    round keeps the shadow table from growing across rounds (a real run
-    gets one tracker per process, not one per sweep).
-    """
-    if not shm_available():
-        pytest.skip("no usable shared memory on this platform")
-    _plane_ops_once()  # warm-up: allocator, /dev/shm dentries
-
-    reps = 7
-    off_a = on = off_b = float("inf")
-    saved = shm_mod._sanitizer
-    try:
-        for _ in range(reps):
-            shm_mod._sanitizer = None
-            off_a = min(off_a, _plane_ops_once())
-            shm_mod._sanitizer = ShadowTracker()
-            on = min(on, _plane_ops_once())
-            assert shm_mod._sanitizer.counters["publishes"] == _PLANE_OPS
-            shm_mod._sanitizer = None
-            off_b = min(off_b, _plane_ops_once())
-    finally:
-        shm_mod._sanitizer = saved
-
-    off_best = min(off_a, off_b)
-    on_pct = (on / off_best - 1.0) * 100.0
-    off_drift_pct = abs(off_b / off_a - 1.0) * 100.0
-
-    write_result("obs_sanitizer_overhead", "\n".join([
-        "sanitizer overhead — publish/attach/detach/release x "
-        f"{_PLANE_OPS}, {len(_PLANE_PAYLOAD) // 1024} KiB segments "
-        f"(min of {reps}, off/on/off interleaved)",
-        f"hooks off (a)           : {off_a * 1e3:8.1f} ms",
-        f"shadow tracking on      : {on * 1e3:8.1f} ms ({on_pct:+.1f}%)",
-        f"hooks off (b)           : {off_b * 1e3:8.1f} ms "
-        f"(drift {off_drift_pct:.2f}%)",
-    ]))
-    record_ledger("bench_obs_overhead", "sanitizer_on_overhead_pct",
-                  on_pct, unit="pct", attrs={"direction": "lower"})
-
-    assert on_pct <= 5.0, (
-        f"sanitizer overhead {on_pct:.1f}% exceeds 5% with shadow "
-        f"tracking on")

@@ -84,13 +84,6 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--trace-cache", default=None, metavar="DIR",
                    help="directory for the on-disk trace cache; repeated "
                         "runs skip kernel re-execution")
-    p.add_argument("--no-shm", action="store_true",
-                   help="disable the shared-memory trace plane (parallel "
-                        "serial-engine sweeps fall back to whole-"
-                        "implementation tasks; see docs/parallelism.md)")
-    p.add_argument("--shard-points", type=int, default=None, metavar="N",
-                   help="points per shard for parallel serial-engine "
-                        "sweeps (default: records x points cost model)")
     p.add_argument("--classify", default=None, choices=("stack", "walk"),
                    help="memory classification engine: 'stack' (vectorized "
                         "stack-distance kernel, default) or 'walk' (the "
@@ -274,9 +267,7 @@ def main(argv: list[str] | None = None) -> int:
                           kernels=_kernel_names(args.kernel),
                           verify=not args.no_verify,
                           engine=args.engine, jobs=args.jobs,
-                          trace_cache=args.trace_cache,
-                          shm=not args.no_shm,
-                          shard_points=args.shard_points)
+                          trace_cache=args.trace_cache)
         text = render_report(suite, seed=args.seed)
         with open(args.output, "w", encoding="utf-8") as fh:
             fh.write(text)
@@ -331,7 +322,7 @@ def main(argv: list[str] | None = None) -> int:
                                verify=verify, trace_cache=args.trace_cache,
                                timelines=bool(args.emit_trace),
                                engine_stats=args.engine_stats,
-                               jobs=args.jobs, shm=not args.no_shm)
+                               jobs=args.jobs)
             print(r.render(fractions=args.fractions))
             print()
             if args.engine_stats:
@@ -360,9 +351,7 @@ def main(argv: list[str] | None = None) -> int:
         workload = spec.prepare(scale, args.seed)
         result = latency_sweep(spec, workload, vls=vls, verify=verify,
                                engine=args.engine, jobs=args.jobs,
-                               trace_cache=args.trace_cache,
-                               shm=not args.no_shm,
-                               shard_points=args.shard_points)
+                               trace_cache=args.trace_cache)
         print(render_headline(headline_numbers(result)))
         # Section 3.2 counter view at the longest VL: what fraction of
         # instructions were vector, what DRAM rate was sustained, and
@@ -446,9 +435,7 @@ def main(argv: list[str] | None = None) -> int:
                                    verify=verify, engine=args.engine,
                                    jobs=args.jobs,
                                    trace_cache=args.trace_cache,
-                                   attributions=attributions,
-                                   shm=not args.no_shm,
-                                   shard_points=args.shard_points)
+                                   attributions=attributions)
             if args.csv:
                 print(result.to_csv())
             elif args.plot:
@@ -461,9 +448,7 @@ def main(argv: list[str] | None = None) -> int:
                                    verify=verify, engine=args.engine,
                                    jobs=args.jobs,
                                    trace_cache=args.trace_cache,
-                                   attributions=attributions,
-                                   shm=not args.no_shm,
-                                   shard_points=args.shard_points)
+                                   attributions=attributions)
             print(result.to_csv() if args.csv
                   else render_figure4(result, color=args.color))
         elif args.command == "fig5":
@@ -472,9 +457,7 @@ def main(argv: list[str] | None = None) -> int:
                                      verify=verify, engine=args.engine,
                                      jobs=args.jobs,
                                      trace_cache=args.trace_cache,
-                                     attributions=attributions,
-                                     shm=not args.no_shm,
-                                     shard_points=args.shard_points)
+                                     attributions=attributions)
             if args.csv:
                 print(result.to_csv())
             elif args.plot:

@@ -56,19 +56,14 @@ def run_suite(*, scale_name: str = "ci", seed: int = 7,
               verify: bool = True,
               engine: str = DEFAULT_SWEEP_ENGINE,
               jobs: int = 1,
-              trace_cache: str | None = None,
-              shm: bool = True,
-              shard_points: int | None = None) -> SuiteResult:
+              trace_cache: str | None = None) -> SuiteResult:
     """Run the full experimental matrix; returns all sweep results.
 
     ``engine``/``jobs``/``trace_cache`` are forwarded to the sweeps: batch
     re-timing by default, ``jobs=N`` fans trace generation across worker
     processes, and a cache directory makes repeated runs skip functional
     execution entirely (with a cache set, the bandwidth sweep reuses the
-    traces the latency sweep just recorded). ``shm=False`` disables the
-    shared-memory trace plane (parallel serial-engine sweeps fall back to
-    per-implementation tasks) and ``shard_points`` overrides the sharded
-    scheduler's point-chunk size — see ``docs/parallelism.md``.
+    traces the latency sweep just recorded).
     """
     t0 = time.time()
     scale = get_scale(scale_name)
@@ -83,11 +78,11 @@ def run_suite(*, scale_name: str = "ci", seed: int = 7,
         out.latency[name] = latency_sweep(
             spec, workload, latencies=DEFAULT_LATENCIES, vls=vls,
             verify=verify, engine=engine, jobs=jobs,
-            trace_cache=trace_cache, shm=shm, shard_points=shard_points)
+            trace_cache=trace_cache)
         out.bandwidth[name] = bandwidth_sweep(
             spec, workload, bandwidths=DEFAULT_BANDWIDTHS, vls=vls,
             verify=False, engine=engine, jobs=jobs,
-            trace_cache=trace_cache, shm=shm, shard_points=shard_points)
+            trace_cache=trace_cache)
     out.elapsed_s = time.time() - t0
     return out
 

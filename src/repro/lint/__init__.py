@@ -19,14 +19,6 @@ machine-checked safety net:
 * :mod:`repro.lint.config_rules` — legality of latency/bandwidth knob
   grids and VL grids before any trace is generated, plus trace-cache
   staleness checks.
-* :mod:`repro.lint.concurrency_rules` — typestate lint of the
-  shared-memory plane and pool lifecycle (attach/detach pairing,
-  transfer/adopt handoffs, unlink idempotence, nested fan-out), with a
-  suppression audit (:mod:`repro.lint.suppress`).
-* :mod:`repro.lint.sanitize` — the runtime counterpart: under
-  ``REPRO_SANITIZE=1`` a per-process shadow tracker checks the same
-  lifecycle against what actually happened and dumps verdicts that
-  ``repro-sdv lint --sanitize-report DIR`` aggregates.
 
 Every pass reports through one findings pipeline
 (:mod:`repro.lint.findings`): rule id, severity, location, message and a

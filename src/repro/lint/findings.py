@@ -25,12 +25,12 @@ REPORT_SCHEMA_V1 = "repro.lint/1"
 #: rule-id prefix -> pass category (the v2 per-finding ``category`` key).
 _CATEGORIES = {
     "T": "trace", "E": "emitter", "C": "config", "S": "cache",
-    "O": "artifact", "P": "concurrency", "R": "sanitizer", "W": "hygiene",
+    "O": "artifact", "W": "hygiene",
 }
 
 
 def category_of(rule: str) -> str:
-    """Pass category of a rule id (``'P101' -> 'concurrency'``)."""
+    """Pass category of a rule id (``'E001' -> 'emitter'``)."""
     return _CATEGORIES.get(rule[:1], "other") if rule else "other"
 
 
@@ -54,7 +54,7 @@ class Finding:
     location: str
     message: str
     hint: str = ""
-    pid: int = 0   # originating process (runtime-sanitizer findings)
+    pid: int = 0   # originating process id (0 = not recorded)
 
     def render(self) -> str:
         text = f"{self.severity.name:<7} {self.rule} {self.location}: " \

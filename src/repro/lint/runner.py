@@ -1,6 +1,6 @@
 """Lint orchestration: run pass families, aggregate one findings report.
 
-Five families, individually selectable (``--family``), all on by
+Four families, individually selectable (``--family``), all on by
 default when ``--all`` is given:
 
 * ``template`` — run every kernel's vector emitter per VL under
@@ -8,15 +8,9 @@ default when ``--all`` is given:
   captured replication for undeclared hazards, and validate the sealed
   trace's columnar invariants (scalar builds get the columnar check);
 * ``emitter`` — AST lint over ``src/repro/kernels`` + ``src/repro/isa``;
-* ``concurrency`` — typestate analysis of the shared-memory plane and
-  pool consumers (see :mod:`repro.lint.concurrency_rules`);
 * ``config`` — legality of the default sweep grids and the SoC build;
 * ``cache`` — staleness audit of a trace-cache directory (needs
   ``--trace-cache``).
-
-``--sanitize-report DIR`` additionally folds the runtime sanitizer's
-per-process dumps (:mod:`repro.lint.sanitize`) into the same report,
-so one command gates both the static and the dynamic analysis.
 """
 
 from __future__ import annotations
@@ -26,19 +20,17 @@ import sys
 import time
 from dataclasses import dataclass, field
 
-from repro.lint.concurrency_rules import lint_concurrency
 from repro.lint.config_rules import check_sweep, check_trace_cache
 from repro.lint.emitter_rules import lint_paths
 from repro.lint.findings import Finding, FindingsReport, Severity
 from repro.lint.rules import render_catalog
-from repro.lint.sanitize import report_from_dir
 from repro.lint.trace_rules import analyze_snapshot, check_trace_buffer
 
 #: every pass family, in execution order.
-FAMILIES = ("template", "emitter", "concurrency", "config", "cache")
+FAMILIES = ("template", "emitter", "config", "cache")
 
 #: families that run without extra inputs (cache needs a directory).
-DEFAULT_FAMILIES = ("template", "emitter", "concurrency", "config")
+DEFAULT_FAMILIES = ("template", "emitter", "config")
 
 
 @dataclass
@@ -54,7 +46,6 @@ class LintOptions:
     ignore: tuple[str, ...] = ()
     paths: tuple[str, ...] | None = None     # emitter pass override
     include_scalar: bool = True
-    sanitize_report: str | None = None       # sanitizer-dump directory
     meta: dict = field(default_factory=dict)  # filled by run_lint
 
 
@@ -138,8 +129,6 @@ def run_lint(opts: LintOptions | None = None) -> FindingsReport:
             report.extend(_lint_templates(opts))
         elif family == "emitter":
             report.extend(lint_paths(opts.paths))
-        elif family == "concurrency":
-            report.extend(lint_concurrency())
         elif family == "config":
             report.extend(_lint_config(opts))
         elif family == "cache":
@@ -148,9 +137,6 @@ def run_lint(opts: LintOptions | None = None) -> FindingsReport:
         else:
             raise ValueError(f"unknown lint family '{family}' "
                              f"(choose from {', '.join(FAMILIES)})")
-    if opts.sanitize_report is not None:
-        report.extend(report_from_dir(opts.sanitize_report))
-        opts.meta["sanitize_report"] = opts.sanitize_report
     opts.meta["families"] = list(opts.families)
     opts.meta["elapsed_s"] = time.perf_counter() - t0
     report.meta.update(opts.meta)
@@ -178,9 +164,6 @@ def add_lint_arguments(p: argparse.ArgumentParser) -> None:
                    help="trace-cache directory for the staleness audit")
     p.add_argument("--ignore", default="", metavar="RULES",
                    help="comma list of rule ids to suppress")
-    p.add_argument("--sanitize-report", default=None, metavar="DIR",
-                   help="fold runtime-sanitizer dumps from DIR into the "
-                        "report (see REPRO_SANITIZE)")
     p.add_argument("--format", default="text",
                    choices=("text", "json", "json-v1"),
                    help="report format (json-v1 emits the legacy "
@@ -216,7 +199,6 @@ def run_lint_cli(args: argparse.Namespace) -> int:
         seed=args.seed,
         trace_cache=args.trace_cache,
         ignore=ignore,
-        sanitize_report=args.sanitize_report,
     )
     report = run_lint(opts)
     fmt = args.format

@@ -1,7 +1,7 @@
 """Inline-suppression parsing shared by the source-level lint passes.
 
-Both AST passes (:mod:`repro.lint.emitter_rules`,
-:mod:`repro.lint.concurrency_rules`) honour the same comment syntax::
+The AST pass (:mod:`repro.lint.emitter_rules`) honours this comment
+syntax::
 
     flagged_call()  # repro-lint: disable=E001
     other_call()    # repro-lint: disable=E001,E003

@@ -82,8 +82,6 @@ class EngineStats:
                                      "trace_cache.misses"),
             "classify.sidecar_hit_rate": ("classify.sidecar_hits",
                                           "classify.sidecar_misses"),
-            "classify.plane_attach_rate": ("classify.plane_attach_hits",
-                                           "classify.plane_attach_misses"),
         }
         for name, (h, m) in pairs.items():
             r = self._rate(h, m)

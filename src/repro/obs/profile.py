@@ -16,9 +16,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
+from repro.core.parallel import run_tasks
 from repro.core.sweeps import (
     DEFAULT_VLS,
     _impls,
+    _resolve_spec,
+    _sweep_worker_init,
     impl_label,
     run_implementation,
     workload_fingerprint,
@@ -132,96 +135,34 @@ class ProfileResult:
         return events
 
 
+def _trace_task(args):
+    """Pool worker: one implementation's sealed trace, returned by value
+    (a CI-scale SpMV vl8 trace pickles to about 2 MB)."""
+    spec_or_name, workload, vl, verify, reference, trace_cache, fp = args
+    return run_implementation(_resolve_spec(spec_or_name), workload, vl,
+                              verify=verify, reference=reference,
+                              trace_cache=trace_cache, workload_fp=fp)[1]
+
+
 def _generate_traces_parallel(spec, workload, impl_vls, *, verify: bool,
-                              trace_cache, jobs: int):
-    """Phase-A-style parallel trace generation for the profile harness.
-
-    Fans one :func:`repro.core.sweeps._gen_task` per implementation across
-    the worker pool; each worker publishes its sealed trace to the
-    shared-memory plane and the parent adopts the segment. Returns
-    ``(traces, refs)``: a ``{vl: TraceBuffer}`` of zero-copy attachments
-    (implementations whose publish failed are absent — the caller
-    regenerates those in-process) and the adopted :class:`shm.PlaneRef`
-    list the caller must ``release`` once it is done with the views.
-    """
-    import os
-    import pickle
-    import uuid
-
-    from repro.core import shm as shm_mod
-    from repro.core.parallel import run_tasks
-    from repro.core.sweeps import _gen_task, _sweep_worker_init
-    from repro.memory.classify_fast import default_classifier
-    from repro.obs import engine_stats as es_mod
-    from repro.obs.metrics import get_metrics
-    from repro.obs.runlog import get_runlog
-
-    plane = shm_mod.get_plane()
-    prefix = shm_mod.plane_prefix()
-    nonce = uuid.uuid4().hex[:8]
-    wl_payload = pickle.dumps(workload, protocol=4)
-    workload_fp = workload_fingerprint(workload, payload=wl_payload)
-    tracer = get_tracer()
-    registry = get_metrics()
-    runlog = get_runlog()
-    engine_stats = es_mod.get_engine_stats()
-    introspection = es_mod.introspection_enabled()
-    my_pid = os.getpid()
-
-    refs: list = []
-    wref = shm_mod.publish_workload(workload, f"{nonce}:{spec.name}",
-                                    payload=wl_payload)
-    if wref is not None:
-        refs.append(wref)
-    rref = None
-    reference = spec.reference(workload) if verify else None
-    if verify and reference is not None:
-        rref = shm_mod.publish_workload(reference,
-                                        f"{nonce}:{spec.name}:ref")
-        if rref is not None:
-            refs.append(rref)
-    tasks = [
-        (spec.name if KERNELS.get(spec.name) is spec else spec,
-         wref if wref is not None else workload, vl, None, verify,
-         rref if rref is not None else reference, trace_cache, workload_fp,
-         prefix, f"{nonce}:{spec.name}:{impl_label(vl)}",
-         tracer.enabled, runlog.enabled, runlog.trace_id, introspection,
-         default_classifier())
-        for vl in impl_vls
-    ]
-    outs = run_tasks(_gen_task, tasks, jobs=jobs,
-                     initializer=_sweep_worker_init)
-    traces: dict = {}
-    for vl, out in zip(impl_vls, outs):
-        tracer.adopt(out.spans)
-        registry.merge(out.metrics)
-        runlog.adopt(out.log)
-        if out.pid != my_pid:
-            engine_stats.merge(out.engine_stats)
-        if out.cref is not None and plane.adopt(out.cref):
-            # own the classified sibling's lifecycle too (the profile
-            # harness classifies per-sdv, so it only needs the segment
-            # released, not attached)
-            refs.append(out.cref)
-        if out.ref is None or not plane.adopt(out.ref):
-            continue
-        refs.append(out.ref)
-        # scoped attach: the adopted ref pins the mapping until release,
-        # so the views in `traces` stay valid past the detach
-        with plane.attached_trace(out.ref) as trace:
-            if trace is not None:
-                traces[vl] = trace
-    runlog.event("profile.shm_published", kernel=spec.name,
-                 segments=len(refs), bytes=sum(r.size for r in refs))
-    return traces, refs
+                              reference, trace_cache, jobs: int) -> dict:
+    """Fan trace generation (the expensive stage) across the persistent
+    sweep pool; returns ``{vl: TraceBuffer}``."""
+    payload = spec.name if KERNELS.get(spec.name) is spec else spec
+    fp = workload_fingerprint(workload)
+    tasks = [(payload, workload, vl, verify, reference, trace_cache, fp)
+             for vl in impl_vls]
+    traces = run_tasks(_trace_task, tasks, jobs=jobs,
+                       initializer=_sweep_worker_init)
+    return dict(zip(impl_vls, traces))
 
 
 def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                    vls=DEFAULT_VLS, engine: str = "fast",
                    include_scalar: bool = True, verify: bool = True,
                    trace_cache=None, timelines: bool = False,
-                   engine_stats: bool = False, jobs: int = 1,
-                   shm: bool = True) -> ProfileResult:
+                   engine_stats: bool = False,
+                   jobs: int = 1) -> ProfileResult:
     """Time + attribute one kernel at every VL (and the scalar build).
 
     ``timelines=True`` additionally records each run's machine-activity
@@ -234,12 +175,9 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
     these runs to :attr:`ProfileResult.engine_stats`.
 
     ``jobs > 1`` fans trace *generation* (the expensive stage) across
-    worker processes over the shared-memory trace plane; timing and
-    attribution stay in the parent, reading the published traces as
-    zero-copy views. ``shm=False`` (or a platform without shared memory)
-    keeps everything in-process, bit-identical either way.
+    worker processes, each returning its sealed trace by value; timing
+    and attribution stay in the parent, bit-identical to ``jobs=1``.
     """
-    from repro.core import shm as shm_mod
     from repro.obs import engine_stats as es_mod
 
     es_was = es_mod.introspection_enabled()
@@ -253,28 +191,25 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
     tracer = get_tracer()
     result = None
     impl_vls = _impls(vls, include_scalar)
-    plane_traces: dict = {}
-    plane_refs: list = []
-    if (jobs > 1 and shm and len(impl_vls) > 1
-            and shm_mod.shm_available()):
-        plane_traces, plane_refs = _generate_traces_parallel(
-            spec, workload, impl_vls, verify=verify,
+    traces: dict = {}
+    if jobs > 1 and len(impl_vls) > 1:
+        traces = _generate_traces_parallel(
+            spec, workload, impl_vls, verify=verify, reference=reference,
             trace_cache=trace_cache, jobs=jobs)
     try:
         for vl in impl_vls:
             label = impl_label(vl)
             with tracer.span(f"profile:{name}:{label}",
                              kernel=name, impl=label):
-                if vl in plane_traces:
-                    # trace arrived via the plane; the SDV rebuild is the
-                    # same one every sweep worker does (classification and
-                    # lowering are knob-independent, cached on the trace)
+                if vl in traces:
+                    # trace generated by a worker; the SDV rebuild is the
+                    # same one run_implementation does
                     from repro.soc import FpgaSdv
 
                     sdv = FpgaSdv()
                     if vl is not None:
                         sdv.configure(max_vl=vl)
-                    trace = plane_traces[vl]
+                    trace = traces[vl]
                 else:
                     sdv, trace = run_implementation(spec, workload, vl,
                                                     verify=verify,
@@ -304,11 +239,6 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                     timeline=timeline,
                 ))
     finally:
-        if plane_refs:
-            # done with the zero-copy views — unlink the sweep's segments
-            plane = shm_mod.get_plane()
-            for ref in plane_refs:
-                plane.release(ref)
         if engine_stats:
             snap = es_mod.get_engine_stats().snapshot()
             if result is not None:

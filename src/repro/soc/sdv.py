@@ -152,8 +152,7 @@ class FpgaSdv:
 
     def geometry_fingerprint(self) -> str:
         """12-hex digest of :meth:`geometry_key` — the cache-geometry
-        fingerprint the classified trace sidecar and the shm classified
-        plane key their payloads on."""
+        fingerprint the classified trace sidecar is keyed on."""
         import hashlib
 
         return hashlib.sha256(
@@ -161,7 +160,7 @@ class FpgaSdv:
 
     def has_classification(self, trace: TraceBuffer) -> bool:
         """True when ``trace`` already carries a classification for the
-        current engine + geometry (memoized, seeded, or attached)."""
+        current engine + geometry (memoized or seeded)."""
         cache = getattr(trace, "_classified_cache", None)
         return (cache is not None
                 and (self.classify_name, *self._geometry_key()) in cache)
@@ -197,8 +196,8 @@ class FpgaSdv:
     def seed_classification(self, trace: TraceBuffer,
                             ct: ClassifiedTrace) -> None:
         """Pre-load the classification cache with an externally computed
-        result (trace-cache sidecar reload or a shm classified-plane
-        attach), keyed under the current engine + geometry."""
+        result (a trace-cache sidecar reload), keyed under the current
+        engine + geometry."""
         cache = getattr(trace, "_classified_cache", None)
         if cache is None:
             cache = {}

@@ -110,7 +110,8 @@ def save_classified(ct, path: str | os.PathLike, *,
     (:meth:`repro.soc.sdv.FpgaSdv.geometry_fingerprint`) the
     classification was computed under — embedded so a loader never
     trusts the filename alone. The ragged ``levels`` list is stored in
-    the same ``(lens, flat)`` wire format the shm classified plane uses.
+    the packed ``(lens, flat)`` format of
+    :func:`repro.memory.classify_fast.pack_levels`.
     """
     from repro.memory.classify_fast import pack_levels
 

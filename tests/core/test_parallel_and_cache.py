@@ -7,6 +7,7 @@ reference.
 """
 
 import dataclasses
+import os
 
 import pytest
 
@@ -89,9 +90,8 @@ class TestPersistentPool:
 
     def test_shape_change_waits_for_old_workers(self):
         # regression: the old pool was torn down with wait=False, leaving
-        # orphaned workers that could race state the caller frees right
-        # after (e.g. a shared-memory segment the sweep parent unlinks
-        # while the orphan is still attaching it)
+        # orphaned workers running alongside the new pool (e.g. still
+        # writing a trace-cache file the new workers read)
         shutdown_pool()
         calls = {}
 
@@ -104,6 +104,23 @@ class TestPersistentPool:
         try:
             parallel_mod._get_pool(2, None, ())
             assert calls == {"wait": True, "cancel_futures": True}
+        finally:
+            shutdown_pool()
+
+    def test_foreign_pool_is_abandoned_not_shut_down(self, monkeypatch):
+        # a pool inherited across fork belongs to the parent: the child
+        # builds its own and never shuts the parent's workers down
+        class _Parents:
+            def shutdown(self, *a, **k):
+                raise AssertionError("foreign pool must not be shut down")
+
+        parents = ((1, None, ()), _Parents())
+        monkeypatch.setattr(parallel_mod, "_pool", parents)
+        monkeypatch.setattr(parallel_mod, "_pool_pid", os.getpid() + 1)
+        try:
+            pool = parallel_mod._get_pool(1, None, ())
+            assert parallel_mod._pool[1] is pool
+            assert parallel_mod._pool_pid == os.getpid()
         finally:
             shutdown_pool()
 

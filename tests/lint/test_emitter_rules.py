@@ -68,6 +68,31 @@ class TestDeterminism:
         assert lint("def build(:\n") == ["E000"]
 
 
+class TestSuppressionAudit:
+    def test_used_suppression_silences_and_stays_quiet(self):
+        assert lint("""
+            import time
+            t0 = time.time()  # repro-lint: disable=E001
+        """) == []
+
+    def test_unknown_rule_is_w001(self):
+        assert lint("""
+            import time
+            t0 = time.time()  # repro-lint: disable=E999,E001
+        """) == ["W001"]
+
+    def test_stale_suppression_is_w002(self):
+        assert lint("""
+            t0 = 0.0  # repro-lint: disable=E001
+        """) == ["W002"]
+
+    def test_disable_all(self):
+        assert lint("""
+            import time
+            t0 = time.time()  # repro-lint: disable=all
+        """) == []
+
+
 class TestHotPath:
     def test_object_emission_in_loop(self):
         code = """

@@ -57,6 +57,12 @@ class TestCli:
         rc = lint_main(["--kernel", "nope", "--family", "config"])
         assert rc == 2
 
+    def test_retired_family_is_usage_error(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            lint_main(["--family", "concurrency"])
+        assert exc.value.code == 2
+        assert "invalid choice: 'concurrency'" in capsys.readouterr().err
+
     def test_json_output(self, capsys):
         rc = lint_main(["--family", "config", "--json"])
         assert rc == 0
