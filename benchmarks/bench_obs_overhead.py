@@ -1,14 +1,14 @@
 """Observability overhead: instrumentation must not tax the sweep path.
 
 The telemetry layer promises that when nobody asked for a trace, the sweep
-fast path pays (almost) nothing: the process-wide tracer starts disabled,
-metrics are a handful of counter increments per *implementation* (not per
-sweep point), and attribution is strictly opt-in. This bench pins that
-promise: a full latency sweep with tracing + metrics live must stay within
-5% of the uninstrumented wall time. The opt-in attribution cost does
-real extra work (ladder walks), so it gets its own, looser bar: the
-fused ``attribute_many`` batch walks must keep it within 30% of the
-plain sweep.
+fast path pays (almost) nothing: the process-wide run log starts disabled,
+a live one records a handful of events and stage scopes per
+*implementation* (not per sweep point), and attribution is strictly
+opt-in. This bench pins that promise: a full latency sweep with the run
+log recording must stay within 5% of the unrecorded wall time. The opt-in
+attribution cost does real extra work (ladder walks), so it gets its own,
+looser bar: the fused ``attribute_many`` batch walks must keep it within
+30% of the plain sweep.
 """
 
 import time
@@ -19,7 +19,7 @@ from repro.core.sweeps import latency_sweep, run_implementation
 from repro.engine import simulate_events_fast
 from repro.kernels import KERNELS
 from repro.obs.engine_stats import get_engine_stats, set_introspection
-from repro.obs.spans import set_tracing
+from repro.obs.runlog import set_logging
 
 
 def _sweep_seconds(workload, *, repeats=3, attributions=False):
@@ -37,18 +37,19 @@ def test_bench_instrumentation_overhead(workloads):
     wl = workloads["fft"]
     _sweep_seconds(wl, repeats=1)  # warm-up (imports, allocator)
 
-    set_tracing(False)
+    set_logging(False)
     baseline = _sweep_seconds(wl)
-    tracer = set_tracing(True)
+    log = set_logging(True)
     try:
         instrumented = _sweep_seconds(wl)
     finally:
-        set_tracing(False)
+        set_logging(False)
     attributed = _sweep_seconds(wl, attributions=True)
 
     overhead_pct = (instrumented / baseline - 1.0) * 100.0
     attribution_pct = (attributed / baseline - 1.0) * 100.0
-    assert tracer.spans, "instrumented run recorded no spans"
+    assert any(r["name"].endswith(".begin") for r in log.records), (
+        "instrumented run recorded no span records")
 
     write_result("obs_overhead", "\n".join([
         "observability overhead — fft latency sweep "

@@ -42,8 +42,8 @@ from repro.core.sweeps import (
 from repro.engine import ENGINES
 from repro.kernels import KERNELS
 from repro.obs.manifest import build_manifest, write_manifest
-from repro.obs.perfetto import trace_events_from_spans, write_trace
-from repro.obs.spans import get_tracer, set_tracing
+from repro.obs.perfetto import trace_events_from_runlog, write_trace
+from repro.obs.runlog import get_runlog, set_logging, write_runlog
 from repro.workloads import get_scale
 
 
@@ -96,8 +96,8 @@ def _add_emit(p: argparse.ArgumentParser) -> None:
                         "sibling run manifest for sweep commands)")
     p.add_argument("--emit-trace", default=None, metavar="PATH",
                    help="write a Chrome/Perfetto trace_event JSON dump of "
-                        "the harness spans (and engine timelines for "
-                        "'profile')")
+                        "the run log's stage scopes (and engine timelines "
+                        "for 'profile')")
     p.add_argument("--emit-runlog", default=None, metavar="PATH",
                    help="write the structured JSONL run log (one ordered "
                         "stream merged across worker processes)")
@@ -307,15 +307,11 @@ def main(argv: list[str] | None = None) -> int:
         from repro.obs.profile import profile_kernel
         names = _kernel_names(args.kernel)
         multi = len(names) > 1
-        if args.emit_trace:
-            set_tracing(True)
-        if args.emit_runlog:
-            from repro.obs.runlog import get_runlog, set_logging
+        if args.emit_trace or args.emit_runlog:
             set_logging(True)
         for name in names:
-            if args.emit_runlog:
-                get_runlog().event("profile.kernel", kernel=name,
-                                   engine=args.engine, scale=args.scale)
+            get_runlog().event("profile.kernel", kernel=name,
+                               engine=args.engine, scale=args.scale)
             r = profile_kernel(name, scale=args.scale, seed=args.seed,
                                vls=vls, engine=args.engine,
                                include_scalar=not args.no_scalar,
@@ -339,7 +335,6 @@ def main(argv: list[str] | None = None) -> int:
                                       "scale": args.scale})
                 print(f"wrote {path}", file=sys.stderr)
         if args.emit_runlog:
-            from repro.obs.runlog import write_runlog
             path = write_runlog(args.emit_runlog, get_runlog(),
                                 command="profile", kernels=names,
                                 scale=args.scale, engine=args.engine)
@@ -413,10 +408,7 @@ def main(argv: list[str] | None = None) -> int:
     emit_trace = getattr(args, "emit_trace", None)
     emit_runlog = getattr(args, "emit_runlog", None)
     engine_stats_on = bool(getattr(args, "engine_stats", False))
-    if emit_trace:
-        set_tracing(True)
-    if emit_runlog:
-        from repro.obs.runlog import get_runlog, set_logging
+    if emit_trace or emit_runlog:
         set_logging(True)
     if engine_stats_on:
         from repro.obs.engine_stats import set_introspection
@@ -424,8 +416,8 @@ def main(argv: list[str] | None = None) -> int:
     # attribution buckets ride along in the JSON export's manifest
     attributions = bool(emit_json)
     for name in names:
-        from repro.obs.lifecycle import reset_figure_state
-        reset_figure_state()
+        # figure boundary: repair run-log nesting a failed figure left open
+        get_runlog().reset_context()
         spec = KERNELS[name]
         t0 = time.time()
         workload = spec.prepare(scale, args.seed)
@@ -481,14 +473,13 @@ def main(argv: list[str] | None = None) -> int:
         print(get_engine_stats().render())
         print()
     if emit_runlog:
-        from repro.obs.runlog import write_runlog
         path = write_runlog(emit_runlog, get_runlog(),
                             command=args.command, kernels=names,
                             scale=args.scale, engine=args.engine)
         print(f"wrote {path}", file=sys.stderr)
     if emit_trace:
         path = write_trace(emit_trace,
-                           trace_events_from_spans(get_tracer().spans),
+                           trace_events_from_runlog(get_runlog().records),
                            metadata={"command": args.command,
                                      "kernels": names,
                                      "scale": args.scale})

@@ -131,7 +131,7 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
     # on_result must fire exactly once per task even when the pool dies
     # mid-run and tasks are re-dispatched: without the dedup, every task
     # that completed before the crash reported again on the retry
-    # (duplicate heartbeats, double-merged worker metrics)
+    # (duplicate heartbeats)
     reported: set[int] = set()
 
     def _report(i: int, r: R) -> None:
@@ -180,10 +180,8 @@ def run_tasks(fn: Callable[[T], R], tasks: Sequence[T], *,
 
 
 def _note_pool_event(name: str, **attrs: Any) -> None:
-    """Surface a pool failure: metrics counter + structured run-log event
-    (replacing what used to be a silent rebuild)."""
-    from repro.obs.metrics import get_metrics
+    """Surface a pool failure as a run-log warning (which also prints one
+    stderr line when the log is off)."""
     from repro.obs.runlog import get_runlog
 
-    get_metrics().counter(name).inc()
     get_runlog().event(name, level="warn", **attrs)

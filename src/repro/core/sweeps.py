@@ -45,9 +45,7 @@ from repro.memory.classify_fast import (
     set_default_classifier,
 )
 from repro.obs import engine_stats as engine_stats_mod
-from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.runlog import RunLog, get_runlog
-from repro.obs.spans import SpanTracer, get_tracer
 from repro.soc.sdv import FpgaSdv
 from repro.trace.events import TraceBuffer
 from repro.trace.serialize import CLASSIFIED_FORMAT_VERSION
@@ -338,35 +336,31 @@ def _sweep_configs(base: SdvConfig, axis: str,
 @dataclass
 class _ImplOutcome:
     """Everything one (kernel, implementation) task ships back to the
-    parent sweep: measurements plus the worker's observability payload
-    (spans and a metrics snapshot — instrument objects never cross the
-    process boundary, plain data does)."""
+    parent sweep: measurements plus the task's run-log records and
+    engine-stats delta (plain data; collectors never cross the process
+    boundary)."""
 
     measurements: list[Measurement]
-    spans: list = field(default_factory=list)
-    metrics: dict = field(default_factory=dict)
     pid: int = 0
     wall_s: float = 0.0
     log: list = field(default_factory=list)
     engine_stats: dict = field(default_factory=dict)
 
 
-def _task_obs(trace_spans: bool, runlog_on: bool, trace_id: str,
-              introspection: bool):
-    """Per-task observability bundle (worker-local instruments plus the
-    engine-stats baseline snapshot for delta shipping)."""
-    tracer = SpanTracer(enabled=trace_spans)
-    registry = MetricsRegistry()
-    # worker-local run log carrying the parent's trace id (the sweep
-    # adopts its records; in-process runs ship them back the same way)
-    log = RunLog(enabled=runlog_on, trace_id=trace_id or None)
+def _task_obs(runlog_on: bool, trace_id: str, introspection: bool):
+    """Per-task observability: this process's run log joined to the
+    parent's stream (the task's records start at the returned index) and
+    the engine-stats baseline snapshot for delta shipping."""
+    log = get_runlog()
+    log.enabled = runlog_on
+    log.trace_id = trace_id
     # sync this process's introspection flag with the parent's; ship only
     # the *delta* recorded by this task — workers are persistent, and in
     # serial runs the parent collector already holds what we record
     engine_stats_mod.set_introspection(introspection)
     es_before = (engine_stats_mod.get_engine_stats().snapshot()
                  if introspection else None)
-    return tracer, registry, log, es_before
+    return log, len(log.records), es_before
 
 
 def _es_delta(introspection: bool, es_before) -> dict:
@@ -387,8 +381,8 @@ def _resolve_spec(spec_or_name) -> KernelSpec:
 
 def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
                  axis: str, points: Sequence[int], keep_reports: bool,
-                 engine: str, attributions: bool, tracer: SpanTracer,
-                 registry: MetricsRegistry) -> list[Measurement]:
+                 engine: str, attributions: bool,
+                 log: RunLog) -> list[Measurement]:
     """Time one trace at the given points of one axis.
 
     The single re-timing code path of every sweep, serial or fanned out:
@@ -396,17 +390,17 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
     ``jobs`` cannot change a Measurement.
 
     Classification (every engine) and lowering (batch) are knob-
-    independent and cached on the trace, so computing them up front under
-    their own ``classify``/``lower`` spans costs nothing extra and keeps
-    those stages out of the ``re-time`` span.
+    independent and cached on the trace, so computing them up front in
+    their own ``classify``/``lower`` scopes costs nothing extra and keeps
+    those stages out of the ``re-time`` scope.
     """
     configs = _sweep_configs(sdv.config, axis, points)
-    with tracer.span(f"classify:{kernel}:{label}", kernel=kernel,
+    with log.context(f"classify:{kernel}:{label}", kernel=kernel,
                      impl=label):
         ct = sdv.classify(trace)
     lowered = None
     if engine == "batch":
-        with tracer.span(f"lower:{kernel}:{label}", kernel=kernel,
+        with log.context(f"lower:{kernel}:{label}", kernel=kernel,
                          impl=label):
             lowered = sdv.lower(trace)
     base_lat = sdv.extra_latency
@@ -420,10 +414,9 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             cycles=cycles, report=report, attribution=att,
         )
 
-    with tracer.span(f"re-time:{kernel}:{label}", kernel=kernel,
+    with log.context(f"re-time:{kernel}:{label}", kernel=kernel,
                      impl=label, engine=engine, points=len(points),
                      attributions=attributions):
-        t0 = time.perf_counter()
         if attributions and engine == "batch" and not keep_reports:
             # fused path: ONE batch walk times every sweep point AND
             # every attribution-ladder rung (the ladder's L0 column *is*
@@ -446,13 +439,11 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
             measurements = [measurement(p, r.cycles,
                                         r if keep_reports else None)
                             for p, r in zip(points, reports)]
-        registry.histogram("sweep.retime_s").observe(
-            time.perf_counter() - t0)
 
     if attributions and not (engine == "batch" and not keep_reports):
         from repro.obs.attribution import attribute_many
 
-        with tracer.span(f"attribute:{kernel}:{label}", kernel=kernel,
+        with log.context(f"attribute:{kernel}:{label}", kernel=kernel,
                          impl=label):
             atts = attribute_many(ct, configs, lowered=sdv.lower(trace))
         measurements = [replace(m, attribution=att)
@@ -463,19 +454,18 @@ def _time_points(sdv: FpgaSdv, trace: TraceBuffer, kernel: str, label: str,
 def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
                    points: Sequence[int], config: SdvConfig | None,
                    verify: bool, reference, keep_reports: bool, engine: str,
-                   trace_cache, trace_spans: bool = False,
-                   attributions: bool = False, runlog_on: bool = False,
-                   trace_id: str = "", introspection: bool = False,
-                   workload_fp: str | None = None) -> _ImplOutcome:
+                   trace_cache, attributions: bool, runlog_on: bool,
+                   trace_id: str, introspection: bool,
+                   workload_fp: str | None) -> _ImplOutcome:
     """Generate + time one implementation across all points of one axis."""
     t_begin = time.perf_counter()
-    tracer, registry, log, es_before = _task_obs(
-        trace_spans, runlog_on, trace_id, introspection)
+    log, first_record, es_before = _task_obs(runlog_on, trace_id,
+                                             introspection)
     label = impl_label(vl)
     log.event("impl.start", kernel=spec.name, impl=label, axis=axis,
               points=len(points), engine=engine)
 
-    with tracer.span(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
+    with log.context(f"trace-gen:{spec.name}:{label}", kernel=spec.name,
                      impl=label):
         t0 = time.perf_counter()
         sdv, trace = run_implementation(spec, workload, vl, config=config,
@@ -483,26 +473,24 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
                                         trace_cache=trace_cache,
                                         workload_fp=workload_fp)
         trace_gen_s = time.perf_counter() - t0
-        registry.histogram("sweep.trace_gen_s").observe(trace_gen_s)
         log.event("impl.trace_ready", kernel=spec.name, impl=label,
                   records=len(trace), wall_s=round(trace_gen_s, 6))
 
     measurements = _time_points(sdv, trace, spec.name, label, axis, points,
-                                keep_reports, engine, attributions,
-                                tracer, registry)
-
-    registry.counter("sweep.impls_timed").inc()
-    registry.counter("sweep.points_timed").inc(len(points))
+                                keep_reports, engine, attributions, log)
     wall_s = time.perf_counter() - t_begin
     log.event("impl.done", kernel=spec.name, impl=label,
               measurements=len(measurements), wall_s=round(wall_s, 6))
+    # move the task's records out: the parent adopts them whether the
+    # task ran in a worker or in-process, so each lands in the parent's
+    # log exactly once and persistent workers accumulate nothing
+    records = log.records[first_record:]
+    del log.records[first_record:]
     return _ImplOutcome(
         measurements=measurements,
-        spans=tracer.spans,
-        metrics=registry.snapshot(),
         pid=os.getpid(),
         wall_s=wall_s,
-        log=log.records,
+        log=records,
         engine_stats=_es_delta(introspection, es_before),
     )
 
@@ -510,14 +498,13 @@ def _time_one_impl(spec: KernelSpec, workload, vl: int | None, axis: str,
 def _impl_task(args) -> _ImplOutcome:
     """Module-level worker: one (kernel, implementation) per process task."""
     (spec_or_name, workload, vl, axis, points, config, verify, reference,
-     keep_reports, engine, trace_cache, trace_spans, attributions,
-     runlog_on, trace_id, introspection, workload_fp,
-     classify_name) = args
+     keep_reports, engine, trace_cache, attributions, runlog_on, trace_id,
+     introspection, workload_fp, classify_name) = args
     set_default_classifier(classify_name)
     return _time_one_impl(_resolve_spec(spec_or_name), workload, vl, axis,
                           points, config, verify, reference, keep_reports,
-                          engine, trace_cache, trace_spans, attributions,
-                          runlog_on, trace_id, introspection, workload_fp)
+                          engine, trace_cache, attributions, runlog_on,
+                          trace_id, introspection, workload_fp)
 
 
 def _validate_grid(axis: str, points: Sequence[int], vls: Sequence[int],
@@ -558,8 +545,6 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
         kernel=spec.name, axis=axis, points=points,
         impls=[impl_label(v) for v in impls],
     )
-    tracer = get_tracer()
-    registry = get_metrics()
     runlog = get_runlog()
     engine_stats = engine_stats_mod.get_engine_stats()
     introspection = engine_stats_mod.introspection_enabled()
@@ -571,9 +556,8 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
     payload = spec.name if KERNELS.get(spec.name) is spec else spec
     tasks = [
         (payload, workload, vl, axis, points, config, verify, reference,
-         keep_reports, engine, trace_cache, tracer.enabled, attributions,
-         runlog.enabled, runlog.trace_id, introspection, workload_fp,
-         default_classifier())
+         keep_reports, engine, trace_cache, attributions, runlog.enabled,
+         runlog.trace_id, introspection, workload_fp, default_classifier())
         for vl in impls
     ]
     labels = [impl_label(v) for v in impls]
@@ -593,17 +577,12 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
                   f"({done}/{len(tasks)}, worker pid {outcome.pid}, "
                   f"{outcome.wall_s:.1f}s)", file=sys.stderr)
 
-    with tracer.span(f"sweep:{spec.name}:{axis}", kernel=spec.name,
-                     axis=axis, impls=len(tasks), points=len(points),
-                     engine=engine, jobs=jobs), \
-         runlog.context(f"sweep:{spec.name}:{axis}", kernel=spec.name,
+    with runlog.context(f"sweep:{spec.name}:{axis}", kernel=spec.name,
                         axis=axis, impls=len(tasks), points=len(points),
                         engine=engine, jobs=jobs):
         for outcome in run_tasks(_impl_task, tasks, jobs=jobs,
                                  on_result=heartbeat,
                                  initializer=_sweep_worker_init):
-            tracer.adopt(outcome.spans)
-            registry.merge(outcome.metrics)
             runlog.adopt(outcome.log)
             if outcome.pid != my_pid:
                 # in-process outcomes already recorded straight into
@@ -611,7 +590,6 @@ def _sweep(spec: KernelSpec, workload, axis: str, points: list[int],
                 engine_stats.merge(outcome.engine_stats)
             for m in outcome.measurements:
                 result.add(m)
-    registry.counter("sweep.sweeps_run").inc()
     return result
 
 

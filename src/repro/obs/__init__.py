@@ -10,20 +10,18 @@ the simulator into a study instrument:
   bandwidth throttle, NoC, cache service) that sum **bit-exactly** to
   ``CycleReport.cycles`` in every engine, plus the derived
   "latency hidden by overlap" metric — the paper's claim (i), observable;
-* :mod:`repro.obs.metrics` — counters/gauges/histograms with mergeable
-  snapshots (workers ship theirs back to the sweep harness);
-* :mod:`repro.obs.spans` — nested wall-time spans over the harness stages
-  (trace generation, lowering, re-timing), Perfetto-exportable;
+* :mod:`repro.obs.runlog` — the one harness-side stream: a structured
+  JSONL run log whose begin/end scopes time the harness stages (trace
+  generation, classification, lowering, re-timing), recorded per process
+  and merged across workers into one ordered stream;
 * :mod:`repro.obs.timeline` — per-record machine activity recorded by the
   timing engines (simulated-cycle extents);
 * :mod:`repro.obs.perfetto` — Chrome/Perfetto ``trace_event`` JSON export
-  for both spans and timelines;
+  for both run-log scopes and timelines;
 * :mod:`repro.obs.manifest` — schema-versioned machine-readable run
   manifests written next to sweep results;
 * :mod:`repro.obs.profile` — the ``repro-sdv profile`` harness: the
   per-VL attribution table ("short reasons" view);
-* :mod:`repro.obs.runlog` — structured JSONL run log with trace-context
-  propagation across worker processes, merged into one ordered stream;
 * :mod:`repro.obs.engine_stats` — opt-in internal counters from the
   timing-engine hot paths (wheel occupancy, slab recycling, cache hit
   rates), disabled-cost pinned to unmeasurable;
@@ -31,9 +29,7 @@ the simulator into a study instrument:
   records with a median+MAD regression detector (``repro-sdv
   perf-diff``);
 * :mod:`repro.obs.htmlreport` — the self-contained HTML run dashboard
-  (``repro-sdv dash``);
-* :mod:`repro.obs.lifecycle` — figure-boundary reset of the process-wide
-  observability singletons.
+  (``repro-sdv dash``).
 """
 
 from repro.obs.attribution import (
@@ -71,10 +67,8 @@ from repro.obs.ledger import (
     detect_regression,
     perf_diff,
 )
-from repro.obs.lifecycle import reset_figure_state
-from repro.obs.metrics import MetricsRegistry, get_metrics
 from repro.obs.perfetto import (
-    trace_events_from_spans,
+    trace_events_from_runlog,
     trace_events_from_timeline,
     validate_trace_events,
     write_trace,
@@ -86,7 +80,6 @@ from repro.obs.runlog import (
     set_logging,
     write_runlog,
 )
-from repro.obs.spans import SpanTracer, get_tracer, set_tracing
 from repro.obs.timeline import TimelineRecorder
 
 __all__ = [
@@ -96,10 +89,8 @@ __all__ = [
     "EngineStats",
     "LEDGER_SCHEMA",
     "MANIFEST_SCHEMA",
-    "MetricsRegistry",
     "RUNLOG_SCHEMA",
     "RunLog",
-    "SpanTracer",
     "TimelineRecorder",
     "Verdict",
     "append_record",
@@ -113,17 +104,13 @@ __all__ = [
     "config_hash",
     "detect_regression",
     "get_engine_stats",
-    "get_metrics",
     "get_runlog",
-    "get_tracer",
     "perf_diff",
     "render_dashboard",
-    "reset_figure_state",
     "set_introspection",
     "set_logging",
-    "set_tracing",
     "snapshot_delta",
-    "trace_events_from_spans",
+    "trace_events_from_runlog",
     "trace_events_from_timeline",
     "validate_dashboard",
     "validate_manifest",

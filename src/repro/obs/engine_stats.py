@@ -15,8 +15,8 @@ overflow sequence numbers, plan tables). ``benchmarks/
 bench_obs_overhead.py`` pins the bars: <=5% with counters on, <=1% with
 them off.
 
-Like :mod:`repro.obs.metrics`, snapshots are plain mergeable dicts —
-worker processes ship theirs back to the sweep parent. The counter
+Snapshots are plain mergeable dicts — worker processes ship the delta
+their task recorded back to the sweep parent. The counter
 glossary lives in ``docs/observability.md``.
 """
 

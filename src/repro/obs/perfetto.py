@@ -7,8 +7,9 @@ events carrying microsecond ``ts``/``dur``.
 
 Two sources, two time bases:
 
-* harness **spans** (:mod:`repro.obs.spans`) — wall-clock seconds, scaled
-  to microseconds; one Perfetto process row per OS pid, so ``--jobs``
+* the **run log** (:mod:`repro.obs.runlog`) — each ``<name>.begin`` /
+  ``<name>.end`` scope becomes one slice, wall-clock seconds scaled to
+  microseconds; one Perfetto process row per recording pid, so ``--jobs``
   worker activity lands on separate rows;
 * engine **timelines** (:mod:`repro.obs.timeline`) — simulated cycles,
   exported 1 cycle = 1 µs; one thread row per machine unit track.
@@ -19,9 +20,9 @@ Two sources, two time bases:
 from __future__ import annotations
 
 import json
+import os
 from pathlib import Path
 
-from repro.obs.spans import Span
 from repro.obs.timeline import TimelineRecorder
 
 #: allowed phase codes in emitted traces (complete slices + instants +
@@ -29,31 +30,39 @@ from repro.obs.timeline import TimelineRecorder
 _PHASES = {"X", "i", "M"}
 
 
-def trace_events_from_spans(spans: list[Span], *,
-                            origin: float | None = None) -> list[dict]:
-    """Spans -> complete events; pid = recording process, tid = nest depth."""
-    if not spans:
+def trace_events_from_runlog(records: list[dict]) -> list[dict]:
+    """Run-log scopes -> complete events; pid = recording process, tid =
+    nesting depth. The exporting process's own row is the sweep harness,
+    every other pid a worker. Records outside a closed scope are not
+    exported."""
+    stacks: dict[int, list[dict]] = {}   # open begins, per pid
+    slices = []                            # (begin, end ts, depth)
+    for r in sorted(records, key=lambda r: (r["pid"], r["seq"])):
+        stack = stacks.setdefault(r["pid"], [])
+        name = r["name"]
+        if name.endswith(".begin"):
+            stack.append(r)
+        elif stack and name == stack[-1]["name"].removesuffix("begin") + "end":
+            begin = stack.pop()
+            slices.append((begin, r["ts"], len(stack)))
+    if not slices:
         return []
-    t0 = origin if origin is not None else min(s.t0 for s in spans)
-    events = []
-    pids = sorted({s.pid for s in spans})
-    for pid in pids:
-        label = "sweep-harness" if pid == pids[0] else f"worker-{pid}"
-        events.append({"ph": "M", "name": "process_name", "pid": pid,
-                       "tid": 0, "args": {"name": label}})
-    for s in spans:
-        args = dict(s.attrs)
-        if s.cycles0 is not None:
-            args["cycles"] = (s.cycles1 or 0.0) - s.cycles0
+    t0 = min(begin["ts"] for begin, _, _ in slices)
+    me = os.getpid()
+    events = [{"ph": "M", "name": "process_name", "pid": pid, "tid": 0,
+               "args": {"name": "sweep-harness" if pid == me
+                        else f"worker-{pid}"}}
+              for pid in sorted({begin["pid"] for begin, _, _ in slices})]
+    for begin, t_end, depth in slices:
         events.append({
             "ph": "X",
-            "name": s.name,
+            "name": begin["name"].removesuffix(".begin"),
             "cat": "harness",
-            "pid": s.pid,
-            "tid": s.depth,
-            "ts": (s.t0 - t0) * 1e6,
-            "dur": s.wall_s * 1e6,
-            "args": args,
+            "pid": begin["pid"],
+            "tid": depth,
+            "ts": (begin["ts"] - t0) * 1e6,
+            "dur": max(0.0, t_end - begin["ts"]) * 1e6,
+            "args": dict(begin.get("attrs", {})),
         })
     return events
 

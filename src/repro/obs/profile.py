@@ -8,8 +8,8 @@ directly, as exposed stall cycles shrinking while vectors grow.
 
 Also the export point for single-run artifacts: a schema-versioned
 manifest (:mod:`repro.obs.manifest`) and a Perfetto trace combining the
-engine timelines of every implementation with the harness spans
-(:mod:`repro.obs.perfetto`).
+engine timelines of every implementation with the profile's run-log
+scopes (:mod:`repro.obs.perfetto`).
 """
 
 from __future__ import annotations
@@ -34,10 +34,10 @@ from repro.kernels import KERNELS
 from repro.obs.attribution import BUCKET_LABELS, BUCKET_ORDER, CycleAttribution
 from repro.obs.manifest import build_manifest
 from repro.obs.perfetto import (
-    trace_events_from_spans,
+    trace_events_from_runlog,
     trace_events_from_timeline,
 )
-from repro.obs.spans import get_tracer
+from repro.obs.runlog import get_runlog
 from repro.obs.timeline import TimelineRecorder
 from repro.util.tables import TextTable
 from repro.workloads import get_scale
@@ -68,6 +68,8 @@ class ProfileResult:
     #: engine-introspection snapshot covering this profile's runs
     #: (``profile_kernel(engine_stats=True)``), else None
     engine_stats: dict | None = None
+    #: the run-log records this profile's ``profile_kernel`` call added
+    records: list[dict] = field(default_factory=list)
 
     def render(self, *, fractions: bool = False) -> str:
         """The per-VL attribution table (cycles, or shares of the total)."""
@@ -121,8 +123,8 @@ class ProfileResult:
         )
 
     def trace_events(self) -> list[dict]:
-        """Perfetto events: one process row per impl timeline + the
-        harness spans."""
+        """Perfetto events: one process row per impl timeline + this
+        profile's run-log scopes."""
         events: list[dict] = []
         pid = 1
         for e in self.entries:
@@ -131,7 +133,7 @@ class ProfileResult:
                     e.timeline, pid=pid,
                     label=f"{self.kernel}/{e.impl} [{e.timeline.engine}]"))
                 pid += 1
-        events.extend(trace_events_from_spans(get_tracer().spans))
+        events.extend(trace_events_from_runlog(self.records))
         return events
 
 
@@ -188,7 +190,8 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
     spec = KERNELS[name]
     workload = spec.prepare(get_scale(scale), seed)
     reference = spec.reference(workload) if verify else None
-    tracer = get_tracer()
+    log = get_runlog()
+    first_record = len(log.records)
     result = None
     impl_vls = _impls(vls, include_scalar)
     traces: dict = {}
@@ -199,7 +202,7 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
     try:
         for vl in impl_vls:
             label = impl_label(vl)
-            with tracer.span(f"profile:{name}:{label}",
+            with log.context(f"profile:{name}:{label}",
                              kernel=name, impl=label):
                 if vl in traces:
                     # trace generated by a worker; the SDV rebuild is the
@@ -239,6 +242,8 @@ def profile_kernel(name: str, *, scale: str = "ci", seed: int = 7,
                     timeline=timeline,
                 ))
     finally:
+        if result is not None:
+            result.records = log.records[first_record:]
         if engine_stats:
             snap = es_mod.get_engine_stats().snapshot()
             if result is not None:

@@ -1,18 +1,25 @@
-"""Structured JSONL run log with cross-process trace-context propagation.
+"""The run log: the harness's one observability stream.
 
 A paper sweep fans trace generation out across worker processes; anything
 those workers print is interleaved garbage at best and lost at worst. The
 run log replaces prints with schema-versioned event *records* — plain
 dicts, picklable, JSON-serializable — collected per process and merged in
-the parent, so one sweep produces one ordered log.
+the parent, so one command produces one ordered stream.
 
-Mechanics mirror :mod:`repro.obs.spans`: a process-wide :class:`RunLog`
-that starts *disabled* (an ``event()`` call then costs one attribute check
-and records nothing), worker processes build their own local log carrying
-the parent's ``trace_id`` (shipped through the task tuple), and the parent
-``adopt()``-s the workers' records. ``merged_records`` orders the combined
-stream by ``(ts, pid, seq)`` — wall-clock first, then a per-process
-sequence number that breaks same-timestamp ties deterministically.
+Every harness observation is a record. A stage (trace generation,
+classification, lowering, re-timing) is a :meth:`RunLog.context` scope,
+i.e. a ``<name>.begin``/``<name>.end`` pair whose extent is the stage's
+wall time; :func:`repro.obs.perfetto.trace_events_from_runlog` pairs them
+into Perfetto slices. Measured quantities ride on events as attrs
+(``impl.trace_ready`` carries the record count and generation seconds).
+
+The process-wide :class:`RunLog` starts *disabled*: an ``event()`` call
+then records nothing — but ``warn`` and ``error`` events always print one
+line to stderr, so a fault fallback is never silent. Sweep tasks join their process's log to the
+parent's ``trace_id`` and ship back the records they added; the parent
+``adopt()``-s them. ``merged_records`` orders the combined stream by
+``(ts, pid, seq)`` — wall-clock first, then a per-process sequence number
+that breaks same-timestamp ties deterministically.
 
 The on-disk form is JSON Lines: a header line carrying the schema tag,
 then one line per record. :func:`load_and_validate` hard-fails on drift,
@@ -23,6 +30,7 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 import time
 import uuid
 from contextlib import contextmanager
@@ -33,6 +41,9 @@ RUNLOG_SCHEMA = "repro.runlog/1"
 
 #: record severity levels, least to most severe.
 LEVELS = ("debug", "info", "warn", "error")
+
+#: levels that also print one stderr line, recording or not.
+_LOUD = ("warn", "error")
 
 #: keys every record line must carry (validator contract).
 _RECORD_REQUIRED = ("ts", "pid", "seq", "name", "level")
@@ -46,9 +57,9 @@ def new_trace_id() -> str:
 class RunLog:
     """Collects ordered event records; one per process.
 
-    Workers construct their own (``RunLog(enabled=..., trace_id=...)``)
-    with the parent's trace id so every record of one sweep — whichever
-    process emitted it — carries the same correlation key.
+    A sweep task sets its process's log to the parent's trace id, so
+    every record of one command — whichever process emitted it — carries
+    the same correlation key.
     """
 
     def __init__(self, *, enabled: bool = True,
@@ -62,7 +73,11 @@ class RunLog:
     def event(self, name: str, *, level: str = "info",
               **attrs) -> dict | None:
         """Record one event; returns the record (or ``None`` when the log
-        is disabled, so callers never pay for attr assembly)."""
+        is disabled, so callers never pay for attr assembly). ``warn`` and
+        ``error`` events also print one line to stderr either way."""
+        if level in _LOUD:
+            detail = " ".join(f"{k}={v}" for k, v in attrs.items())
+            print(f"repro {level}: {name} {detail}".rstrip(), file=sys.stderr)
         if not self.enabled:
             return None
         if level not in LEVELS:
@@ -86,7 +101,8 @@ class RunLog:
     @contextmanager
     def context(self, name: str, **attrs):
         """Scope records under ``name``: emits ``<name>.begin`` /
-        ``<name>.end`` events and prefixes the ``ctx`` path of everything
+        ``<name>.end`` events (the scope's wall-time extent, exported as
+        one Perfetto slice) and prefixes the ``ctx`` path of everything
         recorded inside."""
         if not self.enabled:
             yield
@@ -100,8 +116,9 @@ class RunLog:
             self.event(f"{name}.end")
 
     def adopt(self, records: list[dict]) -> None:
-        """Fold records emitted elsewhere (a worker process) into this
-        log; their timestamps, pids and seqs are preserved."""
+        """Fold records a sweep task moved out of its process's log (a
+        worker's, or this one's) into this log; their timestamps, pids and
+        seqs are preserved."""
         if not self.enabled:
             return
         self.records.extend(records)
@@ -118,14 +135,23 @@ class RunLog:
         self._seq = 0
         self._ctx.clear()
 
-    def reset_context(self) -> None:
-        """Drop any dangling context scopes (e.g. a figure aborted by an
-        exception) without discarding recorded events."""
-        self._ctx.clear()
+    def reset_context(self) -> int:
+        """Figure-boundary repair: close any dangling context scopes (a
+        figure that did not unwind) with their ``.end`` records, keeping
+        everything already recorded. Returns the number closed; nonzero
+        also emits a ``figure.dangling_spans`` warning."""
+        dangling = len(self._ctx)
+        while self._ctx:
+            name = self._ctx.pop()
+            self.event(f"{name}.end")
+        if dangling:
+            self.event("figure.dangling_spans", level="warn", count=dangling)
+        return dangling
 
 
-#: process-wide run log, disabled by default (CLI enables for
-#: ``--emit-runlog``; workers build their own with the parent's trace id).
+#: process-wide run log, disabled by default (the CLI enables it for
+#: ``--emit-runlog`` and ``--emit-trace``; sweep tasks in pool workers
+#: join theirs to the parent's trace id).
 _RUNLOG = RunLog(enabled=False)
 
 

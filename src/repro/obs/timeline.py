@@ -1,9 +1,9 @@
 """Per-record machine-activity timeline recorded by the timing engines.
 
-Where :mod:`repro.obs.spans` times harness stages in wall clock, the
-timeline records *simulated* machine activity: which unit (scalar core,
-arithmetic pipe, vector memory unit) was busy with which trace record over
-which cycle interval. The event engine records its actual schedule; the
+Where the run log's scopes (:mod:`repro.obs.runlog`) time harness stages
+in wall clock, the timeline records *simulated* machine activity: which
+unit (scalar core, arithmetic pipe, vector memory unit) was busy with
+which trace record over which cycle interval. The event engine records its actual schedule; the
 fast engine records its analytical start/completion times — comparing the
 two dumps side by side in Perfetto is itself a debugging instrument.
 

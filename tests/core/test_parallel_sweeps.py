@@ -5,8 +5,8 @@ implementations run as whole-implementation tasks on the worker pool
 produces *exactly* the Measurement rows of the serial path — same
 cycles, same reports, same attributions, same ordering — for every
 kernel, axis and engine; and the per-implementation ``classify`` (and,
-on the batch engine, ``lower``) stage shows up as its own span on both
-paths.
+on the batch engine, ``lower``) stage shows up as its own run-log scope
+on both paths.
 """
 
 import pytest
@@ -18,7 +18,7 @@ from repro.core.sweeps import (
     workload_fingerprint,
 )
 from repro.kernels import KERNELS
-from repro.obs.spans import set_tracing
+from repro.obs.runlog import get_runlog, set_logging
 from repro.workloads import get_scale
 
 # >1 point and >1 implementation, cheap enough for the full
@@ -95,22 +95,44 @@ class TestFanOutBitIdentity:
 
 
 class TestStageSpans:
-    """classify and lower get their own spans, apart from ``re-time``."""
+    """classify and lower get their own scopes, apart from ``re-time``."""
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_one_classify_and_lower_span_per_impl(self, jobs):
         spec, workload = _workload("fft")
-        tracer = set_tracing(True)
+        log = set_logging(True)
         try:
             latency_sweep(spec, workload, latencies=LATS, vls=VLS,
                           verify=False, engine="batch", jobs=jobs)
-            names = [s.name for s in tracer.spans]
+            names = [r["name"] for r in log.records]
         finally:
-            set_tracing(False)
+            set_logging(False)
         impls = ["scalar"] + [f"vl{v}" for v in VLS]
         for stage in ("classify", "lower"):
-            got = sorted(n for n in names if n.startswith(f"{stage}:"))
-            assert got == sorted(f"{stage}:fft:{i}" for i in impls)
+            for edge in ("begin", "end"):
+                got = sorted(n for n in names if n.startswith(f"{stage}:")
+                             and n.endswith(f".{edge}"))
+                assert got == sorted(f"{stage}:fft:{i}.{edge}"
+                                     for i in impls)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_trace_ready_reaches_parent_once_per_impl(self, jobs):
+        # the benchmark harness reads trace lengths from these events via
+        # get_runlog()/set_logging()/.records/.clear()
+        spec, workload = _workload("fft")
+        set_logging(True)
+        try:
+            for _ in range(2):
+                latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                              verify=False, engine="batch", jobs=jobs)
+                ready = [r["attrs"] for r in get_runlog().records
+                         if r["name"] == "impl.trace_ready"]
+                get_runlog().clear()
+                assert sorted(a["impl"] for a in ready) == sorted(
+                    ["scalar"] + [f"vl{v}" for v in VLS])
+                assert all(a["records"] > 0 for a in ready)
+        finally:
+            set_logging(False)
 
 
 class TestFingerprintHoist:

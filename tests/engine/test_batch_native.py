@@ -105,6 +105,17 @@ def test_fallback_is_bit_identical_and_logged_once(kernel, monkeypatch,
     assert fallbacks == 1
 
 
+def test_fallback_reason_reaches_stderr_by_default(monkeypatch, capsys,
+                                                  reset_kernel):
+    # the run log is off (the default), yet the reason is not lost
+    monkeypatch.setattr(batch_sim, "_load", lambda: (None, "no gcc here"))
+    assert batch_sim._kernel() is None
+    assert batch_sim._kernel() is None   # cached: reported once
+    err = capsys.readouterr().err
+    assert err.count("batch.native_fallback") == 1
+    assert "no gcc here" in err
+
+
 _PROBE = textwrap.dedent("""
     import json
     from repro.core.sweeps import run_implementation

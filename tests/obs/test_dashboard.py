@@ -18,13 +18,11 @@ from repro.obs.htmlreport import (
 from repro.obs.ledger import append_record, build_record
 from repro.obs.manifest import build_manifest, write_manifest
 from repro.obs.runlog import RunLog, set_logging, write_runlog
-from repro.obs.spans import set_tracing
 
 
 @pytest.fixture(autouse=True)
 def _quiet_obs():
     yield
-    set_tracing(False)
     set_logging(False)
 
 

@@ -17,10 +17,7 @@ from repro.obs.engine_stats import (
     set_introspection,
     snapshot_delta,
 )
-from repro.obs.lifecycle import reset_figure_state
-from repro.obs.metrics import get_metrics
 from repro.obs.runlog import get_runlog, set_logging
-from repro.obs.spans import get_tracer, set_tracing
 from repro.workloads import get_scale
 
 
@@ -29,7 +26,6 @@ def _introspection_off():
     """Leave the process-wide collector the way we found it (disabled)."""
     yield
     set_introspection(False)
-    set_tracing(False)
     set_logging(False)
 
 
@@ -134,41 +130,30 @@ class TestLiveIntrospection:
 
 
 class TestFigureReset:
-    def test_reset_clears_metrics_and_repairs_nesting(self):
-        get_metrics().counter("sweep.points_timed").inc(5)
-        tracer = set_tracing(True)
+    def test_reset_clears_metrics_and_repairs_nesting(self, capsys):
         log = set_logging(True)
-        with tracer.span("done"):
+        with log.context("done"):
             pass
         log.event("keep.me")
-        # simulate a figure aborted mid-span / mid-context: the tracer
-        # appends a span at open, so a crash leaves it on both lists
-        open_span = tracer.spans[0].__class__(name="dangling", t0=0.0)
-        tracer.spans.append(open_span)
-        tracer._stack.append(open_span)
-        log._ctx.append("figure")
+        # simulate a figure aborted mid-scope: its begin record is in the
+        # stream and its name is still on the context path
+        log.event("dangling.begin")
+        log._ctx.append("dangling")
 
-        dangling = reset_figure_state()
+        dangling = log.reset_context()
 
         assert dangling == 1
-        assert get_metrics().counter("sweep.points_timed").value == 0
-        assert tracer._stack == []
         assert log._ctx == []
-        # completed telemetry survives the boundary
-        assert [s.name for s in tracer.spans] == ["done", "dangling"]
         names = [r["name"] for r in log.records]
-        assert "keep.me" in names
-        assert "figure.dangling_spans" in names
+        # completed telemetry survives the boundary; the dangling scope
+        # is closed, so it still exports as a slice
+        assert names[:3] == ["done.begin", "done.end", "keep.me"]
+        assert names[-2:] == ["dangling.end", "figure.dangling_spans"]
+        assert "figure.dangling_spans" in capsys.readouterr().err
 
-    def test_clean_reset_is_quiet(self):
+    def test_clean_reset_is_quiet(self, capsys):
         set_logging(True)
-        assert reset_figure_state() == 0
+        assert get_runlog().reset_context() == 0
         assert [r for r in get_runlog().records
                 if r["name"] == "figure.dangling_spans"] == []
-
-    def test_keep_metrics_option(self):
-        get_metrics().counter("n").inc(3)
-        reset_figure_state(clear_metrics=False)
-        assert get_metrics().counter("n").value == 3
-        reset_figure_state()
-        assert get_metrics().counter("n").value == 0
+        assert capsys.readouterr().err == ""

@@ -11,18 +11,17 @@ from repro.kernels import KERNELS
 from repro.obs.check import check_file
 from repro.obs.check import main as check_main
 from repro.obs.manifest import load_and_validate
-from repro.obs.metrics import get_metrics
 from repro.obs.perfetto import load_and_validate as load_trace
 from repro.obs.profile import profile_kernel
-from repro.obs.spans import set_tracing
+from repro.obs.runlog import get_runlog, set_logging
 from repro.workloads import get_scale
 
 
 @pytest.fixture(autouse=True)
-def _quiet_tracer():
-    """Leave the process-wide tracer the way we found it (disabled)."""
+def _quiet_runlog():
+    """Leave the process-wide run log the way we found it (disabled)."""
     yield
-    set_tracing(False)
+    set_logging(False)
 
 
 class TestProfileKernel:
@@ -37,7 +36,7 @@ class TestProfileKernel:
         assert "%" in r.render(fractions=True)
 
     def test_profile_manifest_and_trace(self):
-        set_tracing(True)
+        set_logging(True)
         r = profile_kernel("fft", scale="smoke", vls=(8,), seed=7,
                            timelines=True)
         m = r.manifest()
@@ -78,6 +77,20 @@ class TestProfileCli:
         assert rc == 0
         for name in KERNELS:
             assert (tmp_path / f"m-{name}.json").exists()
+
+    def test_profile_all_kernels_trace_holds_own_spans(self, tmp_path,
+                                                       capsys):
+        # each kernel's trace exports only its own profile_kernel call's
+        # records, not every scope recorded since the stream came on
+        rc = main(["profile", "--kernel", "all", "--scale", "smoke",
+                   "--vls", "8", "--no-scalar", "--no-verify",
+                   "--emit-trace", str(tmp_path / "prof.json")])
+        assert rc == 0
+        for name in KERNELS:
+            obj = load_trace(tmp_path / f"prof-{name}.json")
+            spans = {e["name"] for e in obj["traceEvents"]
+                     if e.get("cat") == "harness"}
+            assert spans == {f"profile:{name}:vl8"}
 
 
 class TestFigureEmission:
@@ -121,21 +134,23 @@ class TestInstrumentedSweep:
     def test_sweep_attributions_and_metrics(self):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
-        before = get_metrics().counter("sweep.points_timed").value
+        log = set_logging(True)
         result = latency_sweep(spec, workload, latencies=[0, 256],
                                vls=(8,), verify=False, attributions=True)
         for m in result.measurements:
             m.attribution.check()
             assert m.attribution.total == m.cycles
-        after = get_metrics().counter("sweep.points_timed").value
-        assert after - before == len(result.measurements)
+        done = [r["attrs"] for r in log.records if r["name"] == "impl.done"]
+        assert (sum(a["measurements"] for a in done)
+                == len(result.measurements))
 
     def test_sweep_spans_when_tracing(self):
-        tracer = set_tracing(True)
+        set_logging(True)
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
         latency_sweep(spec, workload, latencies=[0], vls=(8,), verify=False)
-        names = [s.name for s in tracer.spans]
+        names = [r["name"][:-len(".begin")] for r in get_runlog().records
+                 if r["name"].endswith(".begin")]
         assert "sweep:fft:latency" in names
         assert any(n.startswith("trace-gen:fft:") for n in names)
 

@@ -1,7 +1,7 @@
-"""Unit tests for the telemetry plumbing: metrics registry, span tracer,
-timeline recorder, Perfetto export, and run manifests."""
+"""Unit tests for the telemetry plumbing: run-log stage scopes, timeline
+recorder, Perfetto export, and run manifests."""
 
-import json
+import os
 
 import pytest
 
@@ -14,76 +14,59 @@ from repro.obs.manifest import (
     validate_manifest,
     write_manifest,
 )
-from repro.obs.metrics import MetricsRegistry
 from repro.obs.perfetto import (
-    trace_events_from_spans,
+    trace_events_from_runlog,
     trace_events_from_timeline,
     validate_trace_events,
     write_trace,
 )
 from repro.obs.perfetto import load_and_validate as load_trace
-from repro.obs.spans import SpanTracer
+from repro.obs.runlog import RunLog
 from repro.obs.timeline import TimelineRecorder
 
 
-class TestMetrics:
-    def test_counter_gauge_histogram(self):
-        r = MetricsRegistry()
-        r.counter("c").inc()
-        r.counter("c").inc(2.5)
-        r.gauge("g").set(7)
-        for v in (1.0, 3.0, 2.0):
-            r.histogram("h").observe(v)
-        assert r.counter("c").value == 3.5
-        assert r.gauge("g").value == 7.0
-        h = r.histogram("h")
-        assert h.count == 3 and h.mean == 2.0
-        assert h.min == 1.0 and h.max == 3.0
-        assert h.percentile(50) == 2.0
-
-    def test_counter_cannot_decrease(self):
-        r = MetricsRegistry()
-        with pytest.raises(ValueError):
-            r.counter("c").inc(-1)
-
-    def test_snapshot_merge_adds_counters_and_histograms(self):
-        parent, worker = MetricsRegistry(), MetricsRegistry()
-        parent.counter("n").inc(1)
-        worker.counter("n").inc(4)
-        worker.histogram("h").observe(2.0)
-        worker.gauge("g").set(9)
-        snap = worker.snapshot()
-        assert json.dumps(snap)  # picklable/serializable plain data
-        parent.merge(snap)
-        assert parent.counter("n").value == 5.0
-        assert parent.histogram("h").values == [2.0]
-        assert parent.gauge("g").value == 9.0
+def _slices(log):
+    return [e for e in trace_events_from_runlog(log.records)
+            if e["ph"] == "X"]
 
 
 class TestSpans:
+    """A span is a run-log scope: a ``.begin``/``.end`` record pair."""
+
     def test_nested_spans_record_depth(self):
-        t = SpanTracer(enabled=True)
-        with t.span("outer", kernel="spmv"):
-            with t.span("inner"):
+        log = RunLog()
+        with log.context("outer", kernel="spmv"):
+            with log.context("inner"):
                 pass
-        assert [s.name for s in t.spans] == ["outer", "inner"]
-        assert t.spans[0].depth == 0 and t.spans[1].depth == 1
-        assert t.spans[0].wall_s >= t.spans[1].wall_s
-        assert t.spans[0].attrs == {"kernel": "spmv"}
+        assert [r["name"] for r in log.records] == [
+            "outer.begin", "inner.begin", "inner.end", "outer.end"]
+        outer, inner = sorted(_slices(log), key=lambda e: e["tid"])
+        assert (outer["name"], outer["tid"]) == ("outer", 0)
+        assert (inner["name"], inner["tid"]) == ("inner", 1)
+        assert outer["dur"] >= inner["dur"]
+        assert outer["args"] == {"kernel": "spmv"}
 
     def test_disabled_tracer_records_nothing(self):
-        t = SpanTracer(enabled=False)
-        with t.span("x") as s:
-            assert s is None
-        assert t.spans == []
+        log = RunLog(enabled=False)
+        with log.context("x") as scope:
+            assert scope is None
+        assert log.records == []
+        assert trace_events_from_runlog(log.records) == []
 
     def test_adopt_preserves_worker_spans(self):
-        parent, worker = SpanTracer(enabled=True), SpanTracer(enabled=True)
-        with worker.span("work"):
+        parent = RunLog()
+        worker = RunLog(trace_id=parent.trace_id)
+        with worker.context("work", impl="vl8"):
             pass
-        parent.adopt(worker.spans, impl="vl8")
-        assert parent.spans[0].name == "work"
-        assert parent.spans[0].attrs["impl"] == "vl8"
+        # a worker's records carry its own pid
+        for r in worker.records:
+            r["pid"] = os.getpid() + 1
+        with parent.context("sweep"):
+            parent.adopt(worker.records)
+        by_name = {e["name"]: e for e in _slices(parent)}
+        assert by_name["work"]["pid"] == os.getpid() + 1
+        assert by_name["work"]["args"]["impl"] == "vl8"
+        assert by_name["sweep"]["pid"] == os.getpid()
 
 
 class TestTimelineAndPerfetto:
@@ -109,14 +92,33 @@ class TestTimelineAndPerfetto:
         assert any(e["args"]["name"] == "unit" for e in meta)
 
     def test_span_export_validates(self):
-        t = SpanTracer(enabled=True)
-        with t.span("sweep:spmv:latency"):
-            with t.span("re-time:spmv:vl8"):
-                pass
-        events = trace_events_from_spans(t.spans)
+        log = RunLog()
+        with log.context("sweep:spmv:latency"):
+            with log.context("re-time:spmv:vl8"):
+                log.event("impl.done")
+        events = trace_events_from_runlog(log.records)
         validate_trace_events({"traceEvents": events})
         x = [e for e in events if e["ph"] == "X"]
         assert len(x) == 2 and all(e["ts"] >= 0 for e in x)
+
+    def test_harness_row_is_the_exporting_process(self):
+        # a pool worker whose pid wrapped below the parent's must still
+        # get a worker row, not the harness label
+        log = RunLog()
+        with log.context("sweep:spmv:latency"):
+            pass
+        worker = RunLog(trace_id=log.trace_id)
+        with worker.context("trace-gen:spmv:vl8"):
+            pass
+        low_pid = max(1, os.getpid() - 100)
+        for r in worker.records:
+            r["pid"] = low_pid
+        log.adopt(worker.records)
+        labels = {e["pid"]: e["args"]["name"]
+                  for e in trace_events_from_runlog(log.records)
+                  if e["ph"] == "M"}
+        assert labels == {os.getpid(): "sweep-harness",
+                          low_pid: f"worker-{low_pid}"}
 
     def test_write_and_load_roundtrip(self, tmp_path):
         path = tmp_path / "trace.json"
