@@ -49,10 +49,8 @@ def _median_time(fn, repeats=5):
 
 def _assert_identical(a, b):
     assert np.array_equal(a.rows, b.rows)
-    for x, y in zip(a.levels, b.levels):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert np.array_equal(x, y)
+    assert np.array_equal(a.level_lens, b.level_lens)
+    assert np.array_equal(a.level_flat, b.level_flat)
     assert a.totals == b.totals
 
 

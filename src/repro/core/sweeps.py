@@ -292,8 +292,10 @@ def run_implementation(
             if engine_stats_mod.introspection_enabled():
                 engine_stats_mod.get_engine_stats().count(
                     "trace_cache.hits")
-            trace = _load_trace_memoized(cache_path)
-            _seed_from_sidecar(sdv, trace, cache_path)
+            with get_runlog().context(f"cache-load:{spec.name}:"
+                                      f"{impl_label(vl)}"):
+                trace = _load_trace_memoized(cache_path)
+                _seed_from_sidecar(sdv, trace, cache_path)
             return sdv, trace
         if engine_stats_mod.introspection_enabled():
             engine_stats_mod.get_engine_stats().count("trace_cache.misses")
@@ -310,13 +312,17 @@ def run_implementation(
             )
     if cache_path is not None:
         cache_path.parent.mkdir(parents=True, exist_ok=True)
-        save_trace(trace, cache_path)
         # classification is knob-independent and every consumer needs it
         # next, so computing it here is never wasted work — and the
         # sidecar makes the *next* cache hit skip it outright
-        save_classified(sdv.classify(trace),
-                        classified_sidecar_path(cache_path, sdv),
-                        geometry_fp=sdv.geometry_fingerprint())
+        ct = sdv.classify(trace)
+        with get_runlog().context(f"cache-save:{spec.name}:"
+                                  f"{impl_label(vl)}"):
+            # sidecar first: a trace file then implies its sidecar was
+            # written, and each save is atomic (see serialize._write_npz)
+            save_classified(ct, classified_sidecar_path(cache_path, sdv),
+                            geometry_fp=sdv.geometry_fingerprint())
+            save_trace(trace, cache_path)
     return sdv, trace
 
 

@@ -117,6 +117,8 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
 
     kind = lowered.kind.tolist()
     slot = lowered.slot.tolist()
+    level_flat = ct.level_flat.tolist()
+    level_off = ct.level_off.tolist()
 
     sc_n_mem: list = []
     sc_issue: list = []
@@ -159,7 +161,7 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
             sc_steps.append(steps)
             sc_gap_total.append(int(n_mem * gap))
             sc_p.append(max(1, min(core.mshrs, int(row["mlp_hint"]))))
-            sc_levels.append(ct.levels[i].astype(int).tolist())
+            sc_levels.append(level_flat[level_off[i]:level_off[i + 1]])
             lines = rec.mem_addrs >> _LINE_SHIFT
             sc_banks.append((lines & bank_mask).astype(int).tolist())
         elif k == LKIND_VMEM:
@@ -168,15 +170,14 @@ def build_event_plan(ct: ClassifiedTrace) -> EventPlan:
             lines = _coalesce_lines(rec.addrs, rec.pattern,
                                     cfg.vpu.coalesce_gathers)
             n_lines = int(lines.shape[0])
-            levels = ct.levels[i]
-            if n_lines != levels.shape[0]:
+            if n_lines != level_off[i + 1] - level_off[i]:
                 raise EngineError(
                     "classified levels misaligned with line requests")
             addr_cycles = float(lowered.vm_addr[slot[i]])
             gap = (addr_cycles / n_lines) if n_lines else 0.0
             vm_n.append(n_lines)
             vm_steps.append(_gap_steps(gap, n_lines))
-            vm_levels.append(levels.astype(int).tolist())
+            vm_levels.append(level_flat[level_off[i]:level_off[i + 1]])
             vm_banks.append((lines & bank_mask).astype(int).tolist())
             vm_wb.append(int(row["dram_writes"]))
             vm_dram.append(int(row["dram_reads"]))
@@ -223,7 +224,7 @@ def event_plan(ct: ClassifiedTrace) -> EventPlan:
     Attribution ladders and knob sweeps re-time one classified trace under
     many latency/bandwidth configs; those all share the plan. The cache
     entry lives on the (immutable, shared) trace object and is validated
-    by identity of the per-record level arrays plus the
+    by identity of the packed level array plus the
     quantization-relevant config fields.
     """
     from repro.obs.engine_stats import get_engine_stats, \
@@ -233,7 +234,7 @@ def event_plan(ct: ClassifiedTrace) -> EventPlan:
     cached = getattr(ct.trace, "_event_plan", None)
     if cached is not None:
         levels_ref, ckey, plan = cached
-        if levels_ref is ct.levels and ckey == key:
+        if levels_ref is ct.level_flat and ckey == key:
             if introspection_enabled():
                 get_engine_stats().count("plan_cache.hits")
             return plan
@@ -241,7 +242,7 @@ def event_plan(ct: ClassifiedTrace) -> EventPlan:
         get_engine_stats().count("plan_cache.misses")
     plan = build_event_plan(ct)
     try:
-        ct.trace._event_plan = (ct.levels, key, plan)
+        ct.trace._event_plan = (ct.level_flat, key, plan)
     except (AttributeError, TypeError):  # pragma: no cover - frozen trace
         pass
     return plan

@@ -86,22 +86,35 @@ class ClassifiedTrace:
     """Per-record classified view of a trace.
 
     ``rows`` is a structured array with one row per trace record (columnar,
-    for the fast engine); ``levels`` holds, per record, the
-    :class:`AccessLevel` of each line/element request in order (for the
-    event engine). ``trace`` is the original buffer.
+    for the fast engine). The :class:`AccessLevel` of each line/element
+    request (for the event engine) is kept packed: ``level_lens[i]`` is
+    record ``i``'s request count (``-1`` for records that carry no level
+    data: barriers, vector arithmetic, scalar blocks without memory ops)
+    and ``level_flat`` the ``uint8`` concatenation of every record's
+    levels in record order; :meth:`levels_of` slices one record out.
+    ``trace`` is the original buffer.
     """
 
     rows: np.ndarray
-    levels: list[np.ndarray | None]
+    level_lens: np.ndarray
+    level_flat: np.ndarray
     trace: TraceBuffer
     config: SdvConfig
 
     # aggregate convenience
     totals: dict[str, int] = field(default_factory=dict)
+    #: ``(n+1,)`` offsets of each record's span in ``level_flat``
+    level_off: np.ndarray | None = None
 
     def __post_init__(self) -> None:
-        if len(self.levels) != self.rows.shape[0]:
-            raise TraceError("levels list misaligned with rows")
+        if self.level_lens.shape[0] != self.rows.shape[0]:
+            raise TraceError("level lengths misaligned with rows")
+        if self.level_off is None:
+            off = np.zeros(self.rows.shape[0] + 1, dtype=np.int64)
+            np.cumsum(np.maximum(self.level_lens, 0), out=off[1:])
+            self.level_off = off
+        if int(self.level_off[-1]) != self.level_flat.shape[0]:
+            raise TraceError("level lengths misaligned with level data")
         if not self.totals:
             r = self.rows
             self.totals = {
@@ -113,6 +126,13 @@ class ClassifiedTrace:
                 "vector_line_reqs": int(r["n_line_reqs"].sum()),
                 "pf_dram_reads": int(r["pf_dram_reads"].sum()),
             }
+
+    def levels_of(self, i: int) -> np.ndarray | None:
+        """Record ``i``'s request levels (a view), ``None`` if it has
+        no level data."""
+        if self.level_lens[i] < 0:
+            return None
+        return self.level_flat[self.level_off[i]:self.level_off[i + 1]]
 
     @property
     def dram_transactions(self) -> int:
@@ -289,10 +309,14 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
         cols, config)
     off = cols.addr_off
 
-    levels_per_record: list[np.ndarray | None] = [None] * n
-
-    # only records that touch memory interact with the cache state
+    # only records that touch memory interact with the cache state; their
+    # levels are appended to one flat list in record order
     work = np.flatnonzero((is_scalar & (span_len > 0)) | vm_mask)
+    level_lens = np.full(n, -1, dtype=np.int64)
+    level_lens[work] = np.where(is_scalar[work], span_len[work],
+                                c_off[work + 1] - c_off[work])
+    flat: list[int] = []
+    emit = flat.append
     w_scalar = is_scalar[work].tolist()
     w_lo = off[work].tolist()
     w_hi = off[work + 1].tolist()
@@ -384,7 +408,6 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
             lines = lines_all[lo:hi].tolist()
             wr = writes_all[lo:hi].tolist()
             m = hi - lo
-            lv = np.empty(m, dtype=np.uint8)
             dram_writes = dram_reads = pf_reads = l1h = l2h = 0
             for j in range(m):
                 line = lines[j]
@@ -396,7 +419,7 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
                     tags[line] = None
                     if wr[j]:
                         l1_dirty[si].add(line)
-                    lv[j] = L1
+                    emit(L1)
                     l1h += 1
                     continue
                 tags[line] = None
@@ -414,10 +437,10 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
                 if dirty_victim:
                     dram_writes += 1
                 if hit2:
-                    lv[j] = L2
+                    emit(L2)
                     l2h += 1
                 else:
-                    lv[j] = DRAM
+                    emit(DRAM)
                     dram_reads += 1
                 # next-N-line stream prefetch: fill L1 (and L2 on the way)
                 # with the following lines; prefetch fills consume DRAM
@@ -447,7 +470,6 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
             dram_reads_a[i] = dram_reads
             dram_writes_a[i] = dram_writes
             pf_a[i] = pf_reads
-            levels_per_record[i] = lv
             continue
 
         # vector memory record
@@ -455,9 +477,8 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
         is_write = w_write[w]
         # unit-stride stores allocate whole lines without fetching
         no_fill_store = is_write and not w_fill[w]
-        lv = np.empty(len(lines), dtype=np.uint8)
         dram_writes = dram_reads = l2h = 0
-        for j, line in enumerate(lines):
+        for line in lines:
             # home-node recall of lines the scalar side holds
             si = line & mask1
             tags = l1_tags[si]
@@ -478,7 +499,7 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
                 tags2[local] = None
                 if is_write:
                     l2_dirty[si2].add(local)
-                lv[j] = L2
+                emit(L2)
                 l2h += 1
                 continue
             tags2[local] = None
@@ -492,15 +513,14 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
                     d2.discard(victim)
                     dram_writes += 1
             if no_fill_store:
-                lv[j] = L2
+                emit(L2)
                 l2h += 1
             else:
-                lv[j] = DRAM
+                emit(DRAM)
                 dram_reads += 1
         l2_hits_a[i] = l2h
         dram_reads_a[i] = dram_reads
         dram_writes_a[i] = dram_writes
-        levels_per_record[i] = lv
 
     rows["l1_hits"] = l1_hits_a
     rows["l2_hits"] = l2_hits_a
@@ -508,5 +528,6 @@ def classify_trace(trace: TraceBuffer, config: SdvConfig) -> ClassifiedTrace:
     rows["dram_writes"] = dram_writes_a
     rows["pf_dram_reads"] = pf_a
 
-    return ClassifiedTrace(rows=rows, levels=levels_per_record, trace=trace,
-                           config=config)
+    return ClassifiedTrace(rows=rows, level_lens=level_lens,
+                           level_flat=np.array(flat, dtype=np.uint8),
+                           trace=trace, config=config)

@@ -108,34 +108,6 @@ def first_touch_mask(lines: np.ndarray) -> np.ndarray:
     return prev_occurrence(lines) < 0
 
 
-def schedule_rounds(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Group a per-row op stream into lockstep rounds.
-
-    ``rows[i]`` is the state-row (set) of op ``i``, ops in stream order.
-    Returns ``(order, bounds)``: round ``r`` is the op slice
-    ``order[bounds[r]:bounds[r+1]]``, containing at most one op per row,
-    and every row's ops appear in stream order across rounds.
-    """
-    n = rows.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.int64), np.zeros(1, dtype=np.int64)
-    by_row = np.argsort(rows, kind="stable")
-    sorted_rows = rows[by_row]
-    new_grp = np.zeros(n, dtype=bool)
-    new_grp[0] = True
-    np.not_equal(sorted_rows[1:], sorted_rows[:-1], out=new_grp[1:])
-    idx = np.arange(n, dtype=np.int64)
-    grp_start = np.maximum.accumulate(np.where(new_grp, idx, 0))
-    pos_sorted = idx - grp_start
-    pos = np.empty(n, dtype=np.int64)
-    pos[by_row] = pos_sorted
-    order = np.argsort(pos, kind="stable")
-    counts = np.bincount(pos_sorted)
-    bounds = np.zeros(counts.shape[0] + 1, dtype=np.int64)
-    np.cumsum(counts, out=bounds[1:])
-    return order, bounds
-
-
 # ---------------------------------------------------------- lockstep kernel
 
 #: packed timestamp of an empty way — even (clean) and below any real
@@ -473,14 +445,12 @@ def _build_units(cols: Any, work: np.ndarray, is_scalar: np.ndarray,
 
     A *unit* is one cache interaction slot: a scalar memory element or a
     coalesced vector line request. Unit ``u`` is also level slot ``u`` of
-    the flat per-record levels arena.
+    the packed ``level_flat`` the engine returns.
     """
     sc_w = is_scalar[work]
     cnt = np.where(sc_w, span_len[work],
                    c_off[work + 1] - c_off[work]).astype(np.int64)
-    u_off = np.zeros(work.shape[0] + 1, dtype=np.int64)
-    np.cumsum(cnt, out=u_off[1:])
-    total = int(u_off[-1])
+    total = int(cnt.sum())
 
     starts = np.where(sc_w, cols.addr_off[work], c_off[work])
     src = ragged_indices(starts, cnt)
@@ -504,7 +474,7 @@ def _build_units(cols: Any, work: np.ndarray, is_scalar: np.ndarray,
 
     return {"line": line_u, "write": write_u, "rec": rec_u,
             "is_scalar": is_scalar_u, "nofill": nofill_u,
-            "u_off": u_off, "cnt": cnt}
+            "cnt": cnt}
 
 
 # ------------------------------------------------------- the staged engine
@@ -514,7 +484,7 @@ def classify_trace_fast(trace: TraceBuffer,
     """Classify ``trace`` with the array-backed stack-distance engine.
 
     Bit-identical to :func:`repro.memory.classify.classify_trace` (rows,
-    per-record levels, totals); see the module docstring for the staged
+    packed levels, totals); see the module docstring for the staged
     pipeline.
     """
     if not trace.sealed:
@@ -531,19 +501,21 @@ def classify_trace_fast(trace: TraceBuffer,
     n = cols.n
     rows, vm_mask, coal_lines, c_off, span_len, is_scalar = _prepare_rows(
         cols, config)
-    levels: list[np.ndarray | None] = [None] * n
+    level_lens = np.full(n, -1, dtype=np.int64)
 
     work = np.flatnonzero((is_scalar & (span_len > 0)) | vm_mask)
     if work.shape[0] == 0:
-        return ClassifiedTrace(rows=rows, levels=levels, trace=trace,
-                               config=config)
+        return ClassifiedTrace(rows=rows, level_lens=level_lens,
+                               level_flat=np.zeros(0, dtype=np.uint8),
+                               trace=trace, config=config)
 
     unit_id = _PATTERN_ID[VMemPattern.UNIT]
     units = _build_units(cols, work, is_scalar, span_len, coal_lines,
                          c_off, unit_id)
     line_u, write_u = units["line"], units["write"]
     rec_u, is_scalar_u = units["rec"], units["is_scalar"]
-    nofill_u, u_off = units["nofill"], units["u_off"]
+    nofill_u = units["nofill"]
+    level_lens[work] = units["cnt"]
     U = line_u.shape[0]
     if stats is not None:
         stats.count("classify.units", U)
@@ -710,11 +682,10 @@ def classify_trace_fast(trace: TraceBuffer,
     rows["dram_writes"] = np.bincount(op_rec[ev2], minlength=n)
     rows["pf_dram_reads"] = np.bincount(op_rec[op_pf & ~hit2], minlength=n)
 
-    lo_hi = u_off.tolist()
-    for rec, lo, hi in zip(work.tolist(), lo_hi, lo_hi[1:]):
-        levels[rec] = levels_flat[lo:hi]
-
-    return ClassifiedTrace(rows=rows, levels=levels, trace=trace,
+    # unit u is level slot u, and units run in record order: the flat
+    # levels are already the packed form
+    return ClassifiedTrace(rows=rows, level_lens=level_lens,
+                           level_flat=levels_flat, trace=trace,
                            config=config)
 
 
@@ -807,42 +778,6 @@ def _sequential_l1(line_u: np.ndarray, write_u: np.ndarray,
                     ops.append((base + 2 * p + 1, victim, True, True, rec,
                                 -1, False, False))
     return ops
-
-
-# ------------------------------------------------- level-span (de)flattening
-
-def pack_levels(levels: list[np.ndarray | None]
-                ) -> tuple[np.ndarray, np.ndarray]:
-    """Flatten a ragged per-record ``levels`` list into ``(lens, flat)``.
-
-    ``lens[i]`` is the i-th record's level count, ``-1`` for records
-    that carry no level data (barriers, vector arithmetic); ``flat`` is
-    the uint8 concatenation of the present arrays in record order. The
-    storage format of the on-disk classified sidecar.
-    """
-    lens = np.fromiter(
-        ((-1 if lv is None else lv.shape[0]) for lv in levels),
-        dtype=np.int64, count=len(levels))
-    parts = [np.ascontiguousarray(lv, dtype=np.uint8)
-             for lv in levels if lv is not None]
-    flat = (np.concatenate(parts) if parts
-            else np.zeros(0, dtype=np.uint8))
-    return lens, flat
-
-
-def unpack_levels(lens: np.ndarray,
-                  flat: np.ndarray) -> list[np.ndarray | None]:
-    """Inverse of :func:`pack_levels`; the returned arrays are views
-    into ``flat``."""
-    present = np.maximum(lens, 0)
-    ends = np.cumsum(present)
-    starts = ends - present
-    # single list comprehension over pre-materialized scalars: ~25% less
-    # per-record overhead than scattering into a preallocated list, and
-    # this loop is the dominant cost of a sidecar load
-    return [flat[s:e] if keep >= 0 else None
-            for s, e, keep in zip(starts.tolist(), ends.tolist(),
-                                  lens.tolist())]
 
 
 # ------------------------------------------------------ the engine registry

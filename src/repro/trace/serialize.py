@@ -8,9 +8,9 @@ simulator-world analogue of keeping the compiled benchmark binary around.
 
 Format v2 is the buffer's columnar (SoA) form verbatim: the record columns,
 the pooled address/write arena with per-record offsets, and the interned
-string table. Saving is a handful of array writes and loading is
-:meth:`repro.trace.events.TraceBuffer.from_columns` — no per-record Python
-loop in either direction. v1 files (one object-array entry per record
+string table, written uncompressed. Saving is a handful of array writes
+and loading is :meth:`repro.trace.events.TraceBuffer.from_columns` — no
+per-record Python loop in either direction. v1 files (one object-array entry per record
 string, reconstructed through the dataclass path) still load.
 """
 
@@ -54,8 +54,27 @@ _V2_COLUMNS = (
 )
 
 
+def _write_npz(path: str | os.PathLike, **arrays: np.ndarray) -> None:
+    """Write an uncompressed (ZIP_STORED) ``.npz`` atomically: into a
+    sibling temp file, renamed over ``path`` once complete, so a killed
+    writer never leaves a truncated entry (a stray temp file is cache
+    lint rule S003). ``np.load`` reads deflated files too, so those an
+    earlier, compressing build wrote still load."""
+    tmp = f"{os.fspath(path)}.{os.getpid()}.tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            np.savez(fh, **arrays)
+        os.replace(tmp, path)
+    except BaseException:
+        try:
+            os.unlink(tmp)
+        except OSError:
+            pass
+        raise
+
+
 def save_trace(trace: TraceBuffer, path: str | os.PathLike) -> None:
-    """Write a sealed trace to ``path`` (.npz, compressed, format v2)."""
+    """Write a sealed trace to ``path`` (.npz, stored, format v2)."""
     if not trace.sealed:
         raise TraceError("only sealed traces can be saved")
     c = trace.cols
@@ -64,7 +83,7 @@ def save_trace(trace: TraceBuffer, path: str | os.PathLike) -> None:
     for s in c.strings:
         if "\0" in s:
             raise TraceError(f"string table entry contains NUL: {s!r}")
-    np.savez_compressed(
+    _write_npz(
         path,
         version=np.int64(FORMAT_VERSION),
         addr_off=c.addr_off, addrs=c.addrs, writes=c.writes,
@@ -75,12 +94,21 @@ def save_trace(trace: TraceBuffer, path: str | os.PathLike) -> None:
 
 
 def load_trace(path: str | os.PathLike) -> TraceBuffer:
-    """Read a trace saved by :func:`save_trace`; returns it sealed."""
-    with np.load(path, allow_pickle=True) as z:
+    """Read a trace saved by :func:`save_trace`; returns it sealed.
+
+    Pickling stays disabled except for the legacy v1 layout, so a crafted
+    v2 file with an object member is refused, never unpickled.
+    """
+    with np.load(path, allow_pickle=False) as z:
         version = int(z["version"])
         if version == 2:
-            return _load_v2(z)
-        if version == 1:
+            try:
+                return _load_v2(z)
+            except ValueError as exc:  # an object member: refuse it
+                raise TraceError(f"malformed v2 trace {path}: {exc}") \
+                    from exc
+    if version == 1:
+        with np.load(path, allow_pickle=True) as z:
             return _load_v1(z)
     raise TraceError(
         f"trace format version {version} unsupported "
@@ -109,19 +137,15 @@ def save_classified(ct, path: str | os.PathLike, *,
     ``geometry_fp`` is the cache-geometry fingerprint
     (:meth:`repro.soc.sdv.FpgaSdv.geometry_fingerprint`) the
     classification was computed under — embedded so a loader never
-    trusts the filename alone. The ragged ``levels`` list is stored in
-    the packed ``(lens, flat)`` format of
-    :func:`repro.memory.classify_fast.pack_levels`.
+    trusts the filename alone. The packed levels are stored verbatim
+    (``lens`` = ``ct.level_lens``, ``flat`` = ``ct.level_flat``).
     """
-    from repro.memory.classify_fast import pack_levels
-
-    lens, flat = pack_levels(ct.levels)
-    np.savez_compressed(
+    _write_npz(
         path,
         version=np.int64(CLASSIFIED_FORMAT_VERSION),
         geometry=np.asarray(geometry_fp),
         rows=np.ascontiguousarray(ct.rows),
-        lens=lens, flat=flat,
+        lens=ct.level_lens, flat=ct.level_flat,
     )
 
 
@@ -133,26 +157,32 @@ def load_classified(path: str | os.PathLike, trace: TraceBuffer, config, *,
     ``trace``/``config``, or ``None`` when the sidecar is unreadable,
     from a different format version, recorded under a different cache
     geometry, or misaligned with the trace — any of which just means
-    "reclassify" to the caller, never an error.
+    "reclassify" to the caller, never an error, but is logged as one
+    ``trace_cache.sidecar_rejected`` warning naming the file and reason.
     """
     from repro.memory.classify import ClassifiedTrace
-    from repro.memory.classify_fast import unpack_levels
 
     try:
-        with np.load(path) as z:
-            if int(z["version"]) != CLASSIFIED_FORMAT_VERSION:
-                return None
-            if str(z["geometry"]) != geometry_fp:
-                return None
-            rows = z["rows"]
-            lens = z["lens"]
-            flat = z["flat"]
-    except (OSError, ValueError, KeyError, zipfile.BadZipFile):
+        with np.load(path, allow_pickle=False) as z:
+            version, geometry = int(z["version"]), str(z["geometry"])
+            if version != CLASSIFIED_FORMAT_VERSION:
+                raise ValueError(f"format version {version}")
+            if geometry != geometry_fp:
+                raise ValueError(f"geometry {geometry} != {geometry_fp}")
+            rows, lens, flat = z["rows"], z["lens"], z["flat"]
+        if rows.shape[0] != len(trace):
+            raise ValueError(f"{rows.shape[0]} rows, {len(trace)} records")
+        # the constructor checks lens against rows and flat
+        return ClassifiedTrace(rows=rows, level_lens=lens, level_flat=flat,
+                               trace=trace, config=config)
+    except (OSError, ValueError, KeyError, zipfile.BadZipFile,
+            TraceError) as exc:
+        from repro.obs.runlog import get_runlog
+
+        get_runlog().event("trace_cache.sidecar_rejected", level="warn",
+                           path=os.fspath(path),
+                           reason=f"{type(exc).__name__}: {exc}")
         return None
-    if rows.shape[0] != len(trace) or lens.shape[0] != len(trace):
-        return None
-    return ClassifiedTrace(rows=rows, levels=unpack_levels(lens, flat),
-                           trace=trace, config=config)
 
 
 # --------------------------------------------------------------- v1 support

@@ -406,6 +406,35 @@ class TestTraceCache:
             run_implementation(spec, workload, 8, verify=False,
                                trace_cache=not_a_dir)
 
+    def test_interrupted_save_leaves_no_entry(self, tmp_path, monkeypatch):
+        # a writer dying mid-save must not leave a truncated file that
+        # every later run would fail to load; the next run regenerates
+        import numpy as np
+
+        spec = KERNELS["fft"]
+        workload = spec.prepare(get_scale("smoke"), 7)
+        real_savez = np.savez
+
+        def dies_midway(fh, **arrays):
+            fh.write(b"PK\x03\x04 truncated")
+            raise KeyboardInterrupt
+
+        monkeypatch.setattr(np, "savez", dies_midway)
+        with pytest.raises(KeyboardInterrupt):
+            run_implementation(spec, workload, 8, verify=False,
+                               trace_cache=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+        monkeypatch.setattr(np, "savez", real_savez)
+        sdv, trace = run_implementation(spec, workload, 8, verify=False,
+                                        trace_cache=tmp_path)
+        path = trace_cache_path(tmp_path, spec.name, workload, 8, sdv,
+                                spec=spec)
+        assert path.exists() and len(trace) > 0
+        sweeps_mod._TRACE_MEMO.clear()
+        _, again = run_implementation(spec, workload, 8, verify=False,
+                                      trace_cache=tmp_path)
+        assert len(again) == len(trace)
+
     def test_vl_sweep_accepts_cache(self, tmp_path):
         spec = KERNELS["fft"]
         workload = spec.prepare(get_scale("smoke"), 7)
@@ -476,10 +505,11 @@ class TestClassifiedSidecar:
         assert delta.get("classify.stack_runs", 0) \
             + delta.get("classify.walk_runs", 0) == 0
 
-    def test_stale_geometry_sidecar_is_ignored(self, tmp_path):
+    def test_stale_geometry_sidecar_is_ignored(self, tmp_path, capsys):
         from repro.core import sweeps as sweeps_mod
         from repro.core.sweeps import run_implementation
         from repro.obs import engine_stats as es_mod
+        from repro.obs.runlog import set_logging
 
         spec, workload = self._warm(tmp_path)
         sweeps_mod._TRACE_MEMO.clear()
@@ -491,15 +521,101 @@ class TestClassifiedSidecar:
         was = es_mod.introspection_enabled()
         collector = es_mod.set_introspection(True)
         before = collector.snapshot()
+        log = set_logging(True)
         try:
             sdv, trace = run_implementation(spec, workload, 8,
                                             verify=False,
                                             trace_cache=tmp_path)
             ct = sdv.classify(trace)
+            rejected = [r for r in log.records
+                        if r["name"] == "trace_cache.sidecar_rejected"]
         finally:
+            set_logging(False)
             es_mod.set_introspection(was)
         delta = es_mod.snapshot_delta(
             before, collector.snapshot())["counters"]
         assert ct is not None
         assert delta.get("classify.sidecar_misses", 0) >= 1
         assert delta.get("classify.sidecar_hits", 0) == 0
+        # the fallback is audible: one warning naming file and reason
+        assert len(rejected) == 1
+        assert rejected[0]["level"] == "warn"
+        assert ".cls" in rejected[0]["attrs"]["path"]
+        # np.load's own complaint about the garbage bytes
+        assert rejected[0]["attrs"]["reason"].startswith("ValueError: ")
+        assert "trace_cache.sidecar_rejected" in capsys.readouterr().err
+
+    def test_compressed_cache_from_older_writer_seeds_sweep(self, tmp_path):
+        """Files the old deflating writer left (same keys) stay valid."""
+        import zipfile
+
+        import numpy as np
+
+        from repro.core import sweeps as sweeps_mod
+        from repro.obs import engine_stats as es_mod
+        from repro.trace.serialize import (
+            CLASSIFIED_FORMAT_VERSION,
+            FORMAT_VERSION,
+            load_classified,
+            load_trace,
+        )
+
+        assert (FORMAT_VERSION, CLASSIFIED_FORMAT_VERSION) == (2, 1)
+        spec, workload = self._warm(tmp_path)
+        new = latency_sweep(spec, workload, vls=(8,), trace_cache=tmp_path,
+                            verify=False)
+        sdv = FpgaSdv()
+        geom = sdv.geometry_fingerprint()
+
+        def read_all():
+            out = {}
+            for f in sorted(tmp_path.glob("*.npz")):
+                if ".cls" not in f.name:
+                    continue
+                trace = load_trace(f.with_name(f.name.split(".cls")[0]
+                                               + ".npz"))
+                ct = load_classified(f, trace, sdv.config, geometry_fp=geom)
+                out[f.name] = (trace.cols, ct)
+            return out
+
+        files = sorted(tmp_path.glob("*.npz"))
+        assert len(files) == 4  # scalar + vl8, trace + sidecar each
+        for f in files:
+            assert {i.compress_type for i in zipfile.ZipFile(f).infolist()} \
+                == {zipfile.ZIP_STORED}
+        stored = read_all()
+        for f in files:  # rewrite every entry as the old writer did
+            with np.load(f) as z:
+                data = dict(z)
+            np.savez_compressed(f, **data)
+            assert zipfile.ZIP_DEFLATED in {
+                i.compress_type for i in zipfile.ZipFile(f).infolist()}
+        deflated = read_all()
+        assert stored.keys() == deflated.keys()
+        for name, (cols, ct) in stored.items():
+            cols2, ct2 = deflated[name]
+            assert cols.strings == cols2.strings
+            for col in ("kind", "n_alu", "dep", "addr_off", "addrs",
+                        "writes", "opcode_id", "label_id"):
+                np.testing.assert_array_equal(getattr(cols, col),
+                                              getattr(cols2, col))
+            assert np.array_equal(ct.rows, ct2.rows)
+            assert np.array_equal(ct.level_lens, ct2.level_lens)
+            assert np.array_equal(ct.level_flat, ct2.level_flat)
+
+        sweeps_mod._TRACE_MEMO.clear()
+        was = es_mod.introspection_enabled()
+        collector = es_mod.set_introspection(True)
+        before = collector.snapshot()
+        try:
+            old = latency_sweep(spec, workload, vls=(8,),
+                                trace_cache=tmp_path, verify=False)
+        finally:
+            es_mod.set_introspection(was)
+        delta = es_mod.snapshot_delta(
+            before, collector.snapshot())["counters"]
+        assert delta.get("classify.sidecar_hits") == 2
+        assert delta.get("classify.stack_runs", 0) \
+            + delta.get("classify.walk_runs", 0) == 0
+        for impl in new.impls:
+            assert new.series(impl) == old.series(impl)

@@ -116,6 +116,34 @@ class TestStageSpans:
                                      for i in impls)
 
     @pytest.mark.parametrize("jobs", [1, 2])
+    def test_cache_io_spans_nest_in_trace_gen(self, jobs, tmp_path):
+        # a filling run saves each impl's files once, a warm rerun loads
+        # them once, each inside that impl's trace-gen scope
+        spec, workload = _workload("fft")
+        impls = ["scalar"] + [f"vl{v}" for v in VLS]
+        log = set_logging(True)
+        try:
+            for stage in ("cache-save", "cache-load"):
+                log.clear()
+                latency_sweep(spec, workload, latencies=LATS, vls=VLS,
+                              verify=False, engine="batch", jobs=jobs,
+                              trace_cache=tmp_path)
+                recs = list(log.records)
+                for edge in ("begin", "end"):
+                    got = sorted(r["name"] for r in recs
+                                 if r["name"].startswith("cache-")
+                                 and r["name"].endswith(f".{edge}"))
+                    assert got == sorted(f"{stage}:fft:{i}.{edge}"
+                                         for i in impls)
+                for r in recs:
+                    if r["name"].startswith(f"{stage}:"):
+                        impl = r["name"].split(":")[2].split(".")[0]
+                        assert r["ctx"].split("/")[-1] == \
+                            f"trace-gen:fft:{impl}"
+        finally:
+            set_logging(False)
+
+    @pytest.mark.parametrize("jobs", [1, 2])
     def test_trace_ready_reaches_parent_once_per_impl(self, jobs):
         # the benchmark harness reads trace lengths from these events via
         # get_runlog()/set_logging()/.records/.clear()

@@ -110,6 +110,15 @@ class TestTraceCacheAudit:
         (tmp_path / "leftover.npz").write_bytes(b"x")
         assert rules_of(check_trace_cache(tmp_path)) == ["S003"]
 
+    def test_stray_temp_from_killed_writer(self, tmp_path):
+        # a save killed before its rename leaves '<entry>.<pid>.tmp'
+        self._warm(tmp_path)
+        entry = self._trace_entry(tmp_path)
+        (tmp_path / f"{entry.name}.4242.tmp").write_bytes(b"PK partial")
+        found = check_trace_cache(tmp_path)
+        assert rules_of(found) == ["S003"]
+        assert found[0].location.endswith(".4242.tmp")
+
     @staticmethod
     def _trace_entry(tmp_path):
         """The cached trace itself (not its classified sidecar)."""

@@ -60,12 +60,12 @@ class TestScalarPath:
     def test_first_touch_misses_to_dram(self):
         ct = classify_trace(build(scalar_block([BASE])), tiny_cfg())
         assert ct.rows["dram_reads"][0] == 1
-        assert ct.levels[0][0] == AccessLevel.DRAM
+        assert ct.levels_of(0)[0] == AccessLevel.DRAM
 
     def test_rereference_hits_l1(self):
         ct = classify_trace(build(scalar_block([BASE, BASE])), tiny_cfg())
         assert ct.rows["l1_hits"][0] == 1
-        assert list(ct.levels[0]) == [AccessLevel.DRAM, AccessLevel.L1]
+        assert list(ct.levels_of(0)) == [AccessLevel.DRAM, AccessLevel.L1]
 
     def test_l1_evict_refill_hits_l2(self):
         cfg = tiny_cfg()
@@ -73,7 +73,7 @@ class TestScalarPath:
         conflicts = [BASE + 4096 * k for k in range(1, 8)]
         addrs = [BASE] + conflicts + [BASE]
         ct = classify_trace(build(scalar_block(addrs)), cfg)
-        assert ct.levels[0][-1] == AccessLevel.L2
+        assert ct.levels_of(0)[-1] == AccessLevel.L2
 
     def test_dirty_l1_victim_reaches_l2_not_dram(self):
         cfg = tiny_cfg()

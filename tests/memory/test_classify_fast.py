@@ -9,6 +9,8 @@ directed geometry/feature ablation grid on random traces, and a
 Hypothesis property suite on adversarial access streams.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -22,10 +24,8 @@ from repro.memory.classify_fast import (
     classify_trace_fast,
     default_classifier,
     first_touch_mask,
-    pack_levels,
     prev_occurrence,
     set_default_classifier,
-    unpack_levels,
 )
 from repro.trace.events import (
     ScalarBlock,
@@ -47,13 +47,11 @@ def tiny_cfg(**vpu_kwargs) -> SdvConfig:
 
 
 def assert_identical(a, b):
-    """rows, levels and totals all bit-identical."""
+    """rows, packed levels and totals all bit-identical."""
     assert np.array_equal(a.rows, b.rows)
-    assert len(a.levels) == len(b.levels)
-    for x, y in zip(a.levels, b.levels):
-        assert (x is None) == (y is None)
-        if x is not None:
-            assert np.array_equal(x, y)
+    assert np.array_equal(a.level_lens, b.level_lens)
+    assert np.array_equal(a.level_flat, b.level_flat)
+    assert a.level_flat.dtype == b.level_flat.dtype == np.uint8
     assert a.totals == b.totals
 
 
@@ -225,23 +223,46 @@ class TestSelector:
         assert b.classify(trace2).totals == ct.totals
 
 
-class TestLevelPacking:
-    def test_round_trip(self):
-        levels = [np.array([0, 1, 2], dtype=np.uint8), None,
-                  np.zeros(0, dtype=np.uint8), np.array([3], dtype=np.uint8)]
-        lens, flat = pack_levels(levels)
-        assert lens.tolist() == [3, -1, 0, 1]
-        back = unpack_levels(lens, flat)
-        for x, y in zip(levels, back):
-            assert (x is None) == (y is None)
-            if x is not None:
-                assert np.array_equal(x, y)
+class TestPackedLevels:
+    """The packed ``(level_lens, level_flat)`` form both engines emit."""
 
-    def test_all_none(self):
-        lens, flat = pack_levels([None, None])
-        assert flat.shape == (0,)
-        assert unpack_levels(lens, flat) == [None, None]
+    def _mixed(self):
+        tb = TraceBuffer()
+        tb.append(ScalarBlock(n_alu_ops=1, mem_addrs=np.array([BASE, BASE]),
+                              mem_is_write=np.zeros(2, dtype=bool)))
+        tb.append(VectorInstr(op=VOpClass.ARITH, vl=8, opcode="vfadd"))
+        tb.append(ScalarBlock(n_alu_ops=3, mem_addrs=np.zeros(0, np.int64),
+                              mem_is_write=np.zeros(0, dtype=bool)))
+        tb.append(VectorInstr(op=VOpClass.MEM, vl=8, opcode="vle",
+                              pattern=VMemPattern.UNIT,
+                              addrs=BASE + 8 * np.arange(8)))
+        return tb.seal()
 
-    def test_empty(self):
-        lens, flat = pack_levels([])
-        assert unpack_levels(lens, flat) == []
+    @pytest.mark.parametrize("engine", ["walk", "stack"])
+    def test_invariants(self, engine):
+        ct = CLASSIFIERS[engine](self._mixed(), tiny_cfg())
+        lens = ct.level_lens
+        assert lens.dtype == np.int64 and ct.level_flat.dtype == np.uint8
+        assert len(ct.level_flat) == int(np.maximum(lens, 0).sum())
+        # -1 exactly on records without memory requests
+        assert lens.tolist() == [2, -1, -1, 1]
+        assert ct.levels_of(1) is None and ct.levels_of(2) is None
+        assert ct.levels_of(0).tolist() == [2, 0]  # DRAM, then L1 hit
+        assert ct.levels_of(3).tolist() == [1]  # recalled, L2 hit
+
+    @pytest.mark.parametrize("engine", ["walk", "stack"])
+    def test_no_memory_records(self, engine):
+        tb = TraceBuffer()
+        tb.append(VectorInstr(op=VOpClass.ARITH, vl=8, opcode="vfadd"))
+        ct = CLASSIFIERS[engine](tb.seal(), tiny_cfg())
+        assert ct.level_lens.tolist() == [-1]
+        assert ct.level_flat.shape == (0,)
+
+    def test_misaligned_lengths_rejected(self):
+        ct = classify_trace(self._mixed(), tiny_cfg())
+        with pytest.raises(TraceError):
+            dataclasses.replace(ct, level_flat=ct.level_flat[:-1],
+                                level_off=None)
+        with pytest.raises(TraceError):
+            dataclasses.replace(ct, level_lens=ct.level_lens[:-1],
+                                level_off=None)

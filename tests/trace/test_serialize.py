@@ -1,5 +1,7 @@
 """Tests for trace save/load round-tripping."""
 
+import zipfile
+
 import numpy as np
 import pytest
 
@@ -17,6 +19,19 @@ from repro.trace.events import (
     VOpClass,
 )
 from repro.trace.serialize import FORMAT_VERSION, load_trace, save_trace
+
+#: set when a pickled payload runs; a refused load must leave it empty
+_UNPICKLED: list = []
+
+
+def _tripwire():
+    _UNPICKLED.append(1)
+    return 0
+
+
+class _Canary:
+    def __reduce__(self):
+        return (_tripwire, ())
 
 
 def make_mixed_trace():
@@ -152,3 +167,55 @@ class TestFormatVersions:
         t.append(Barrier(label="bad\0label"))
         with pytest.raises(TraceError):
             save_trace(t.seal(), tmp_path / "x.npz")
+
+    def test_v2_object_member_refused_not_unpickled(self, tmp_path):
+        """A crafted v2 file with a pickled column is never unpickled."""
+        path = tmp_path / "evil.npz"
+        save_trace(make_mixed_trace(), path)
+        data = dict(np.load(path))
+        data["kind"] = np.array([_Canary()], dtype=object)
+        np.savez(path, **data)
+        _UNPICKLED.clear()
+        with pytest.raises(TraceError):
+            load_trace(path)
+        assert _UNPICKLED == []
+
+
+class TestStoredWrites:
+    def test_members_are_stored_not_deflated(self, tmp_path):
+        path = tmp_path / "t.npz"
+        save_trace(make_mixed_trace(), path)
+        infos = zipfile.ZipFile(path).infolist()
+        assert infos
+        assert {i.compress_type for i in infos} == {zipfile.ZIP_STORED}
+
+    def test_deflated_file_from_older_writer_loads(self, tmp_path):
+        orig, old = tmp_path / "new.npz", tmp_path / "old.npz"
+        save_trace(make_mixed_trace(), orig)
+        with np.load(orig) as z:
+            np.savez_compressed(old, **dict(z))
+        assert FORMAT_VERSION == 2  # no version fork for the writer change
+        a, b = load_trace(orig).cols, load_trace(old).cols
+        assert a.strings == b.strings
+        for name in ("kind", "addr_off", "addrs", "writes", "dep"):
+            np.testing.assert_array_equal(getattr(a, name), getattr(b, name))
+
+    def test_failed_save_leaves_nothing_behind(self, tmp_path, monkeypatch):
+        import repro.trace.serialize as ser
+
+        def broken(fh, **arrays):
+            fh.write(b"PK\x03\x04 partial")
+            raise OSError("disk full")
+
+        path = tmp_path / "t.npz"
+        monkeypatch.setattr(ser.np, "savez", broken)
+        with pytest.raises(OSError):
+            save_trace(make_mixed_trace(), path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_save_replaces_existing_file(self, tmp_path):
+        path = tmp_path / "t.npz"
+        save_trace(TraceBuffer().seal(), path)
+        save_trace(make_mixed_trace(), path)
+        assert len(load_trace(path)) == 6
+        assert list(tmp_path.iterdir()) == [path]
